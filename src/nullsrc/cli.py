@@ -14,6 +14,7 @@ import sys
 from .errors import ConfigError, InvalidSpec, NullsrcError
 from .experiments import (
     apply_overrides,
+    build_setup,
     builtin_presets,
     config_to_dict,
     export_result,
@@ -79,9 +80,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    from .experiments import _build_setup  # internal reuse, stable within the package
-
-    setup = _build_setup(cfg)
+    setup = build_setup(cfg)
     fm = build_forward_model(setup.sys_inv, setup.basis_inv, setup.mesh_inv, _thread_cap())
     sd = analyze(fm, cfg.rank_tol)
     print(

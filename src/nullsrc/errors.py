@@ -46,7 +46,7 @@ class DegenerateBasis(NullsrcError):
 
 
 class IllConditioned(NullsrcError):
-    """A regularized normal-equation factorization failed."""
+    """An SVD failed to converge, or the discrepancy search did not."""
 
 
 class GammaTooSmall(NullsrcError):

@@ -9,6 +9,7 @@ methods. Runs are bit-reproducible for a fixed configuration.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -138,10 +139,21 @@ class ExperimentResult:
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
+    """Raise ConfigError unless every number is finite and within its range."""
     if not cfg.methods:
         raise ConfigError("at least one method is required")
+    rule = cfg.alpha if isinstance(cfg.alpha, MorozovRule) else None
+    numbers = [cfg.epsilon, cfg.noise_kappa, cfg.rank_tol, *cfg.sigma.kappa1, *cfg.sigma.kappa2]
+    numbers += [a for _, a in cfg.true_source]
+    numbers += [rule.alpha_min, rule.alpha_max, rule.rel_tol] if rule else [cfg.alpha]
+    if not all(math.isfinite(v) for v in numbers):
+        raise ConfigError(f"config numbers must be finite, got {numbers!r}")
+    if len(cfg.sigma.kappa1) != 3 or len(cfg.sigma.kappa2) != 3:
+        raise ConfigError("sigma kappa1 and kappa2 need 3 coefficients each (c0, cx, cy)")
     if cfg.noise_kappa < 0:
         raise ConfigError(f"noise_kappa must be nonnegative, got {cfg.noise_kappa!r}")
+    if not 0 < cfg.rank_tol < 1:
+        raise ConfigError(f"rank_tol must lie in (0, 1), got {cfg.rank_tol!r}")
     if not cfg.inverse_crime:
         nx, ny = cfg.domain.nx, cfg.domain.ny
         if nx % 2 or ny % 2:
@@ -153,10 +165,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("the discrepancy rule needs noisy data (noise_kappa > 0)")
     if not isinstance(cfg.alpha, MorozovRule) and cfg.alpha <= 0:
         raise ConfigError(f"alpha must be positive, got {cfg.alpha!r}")
+    if rule and not (0 < rule.alpha_min < rule.alpha_max and 0 < rule.rel_tol < 1):
+        raise ConfigError(f"discrepancy rule needs 0 < alpha_min < alpha_max, 0 < rel_tol < 1: {rule}")
 
 
 @dataclass(frozen=True)
-class _Setup:
+class Setup:
     mesh_inv: Mesh
     mesh_fwd: Mesh
     sys_inv: FemSystem
@@ -166,7 +180,7 @@ class _Setup:
     restrict_idx: np.ndarray  # positions in the fine trace of the coarse boundary nodes
 
 
-def _build_setup(cfg: ExperimentConfig) -> _Setup:
+def build_setup(cfg: ExperimentConfig) -> Setup:
     validate_config(cfg)
     if cfg.inverse_crime:
         mesh = build_mesh(cfg.domain)
@@ -193,7 +207,7 @@ def _build_setup(cfg: ExperimentConfig) -> _Setup:
         if cfg.inverse_crime and cfg.control_dims_forward == cfg.control_dims_inverse
         else build_control_basis(mesh_fwd, *cfg.control_dims_forward)
     )
-    return _Setup(mesh_inv, mesh_fwd, sys_inv, sys_fwd, basis_inv, basis_fwd, restrict_idx)
+    return Setup(mesh_inv, mesh_fwd, sys_inv, sys_fwd, basis_inv, basis_fwd, restrict_idx)
 
 
 def _true_coefficients(cfg: ExperimentConfig, basis_fwd: ControlBasis) -> np.ndarray:
@@ -225,7 +239,7 @@ def add_noise(d: np.ndarray, kappa: float, seed: int) -> tuple[np.ndarray, float
     return d + delta * rho, delta
 
 
-def _synthesize(cfg: ExperimentConfig, setup: _Setup) -> tuple[np.ndarray, np.ndarray, float, float]:
+def _synthesize(cfg: ExperimentConfig, setup: Setup) -> tuple[np.ndarray, np.ndarray, float, float]:
     """Clean data, noisy data, delta and the realized discrepancy gamma."""
     a = _true_coefficients(cfg, setup.basis_fwd)
     load = control_load_matrix(setup.basis_fwd, setup.sys_fwd, setup.mesh_fwd) @ a
@@ -239,7 +253,7 @@ def _synthesize(cfg: ExperimentConfig, setup: _Setup) -> tuple[np.ndarray, np.nd
 
 def generate_data(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, float]:
     """Synthetic boundary data on the inversion mesh: (d, d_noisy, gamma)."""
-    setup = _build_setup(cfg)
+    setup = build_setup(cfg)
     d, d_noisy, _, gamma = _synthesize(cfg, setup)
     return d, d_noisy, gamma
 
@@ -263,7 +277,7 @@ def run_experiment(cfg: ExperimentConfig, n_threads: int = 1) -> ExperimentResul
     Per-method solver failures are recorded in the outcome instead of
     aborting the remaining methods; setup-level failures propagate.
     """
-    setup = _build_setup(cfg)
+    setup = build_setup(cfg)
     d, d_noisy, delta, gamma = _synthesize(cfg, setup)
 
     fm = build_forward_model(setup.sys_inv, setup.basis_inv, setup.mesh_inv, n_threads)
@@ -387,8 +401,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         sigma_raw = data.get("sigma", {"kind": "identity"})
         sigma = SigmaSpec(
             kind=sigma_raw.get("kind", "identity"),
-            kappa1=tuple(sigma_raw.get("kappa1", (1.0, 0.0, 0.0))),
-            kappa2=tuple(sigma_raw.get("kappa2", (1.0, 0.0, 0.0))),
+            kappa1=tuple(float(v) for v in sigma_raw.get("kappa1", (1.0, 0.0, 0.0))),
+            kappa2=tuple(float(v) for v in sigma_raw.get("kappa2", (1.0, 0.0, 0.0))),
         )
         return ExperimentConfig(
             name=str(data.get("name", "custom")),

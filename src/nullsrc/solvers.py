@@ -1,11 +1,10 @@
 """Regularized inversion: standard Tikhonov, the three weighted methods,
 minimum-norm least squares, and discrepancy-principle parameter selection.
 
-Every method reduces to a quadratic problem, solved in stacked
-least-squares form; the alpha -> 0 limits are realized exactly by
-truncated-SVD pseudo-inverse solves. The stored residual is the data-fit
-term of each method's own optimization problem, which is monotone in
-alpha and can be recomputed from the returned coefficients.
+Every method is Tikhonov for A_hat (standard, I, min-norm) or A_hat W^{-1}
+(II, III), solved by one filter over a thin SVD; alpha = 0 is the exact
+truncated-SVD limit. The stored residual is the data-fit term of each
+method's own problem, monotone in alpha and recomputable from the coeffs.
 """
 
 from __future__ import annotations
@@ -15,10 +14,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
 
 from .errors import GammaTooLarge, GammaTooSmall, IllConditioned
-from .spectral import RANK_TOL_REL, ForwardModel, SpectralData
+from .spectral import RANK_TOL_REL, ForwardModel, SpectralData, Svd, thin_svd
 
 ARGMAX_TIE_TOL = 1e-8
 
@@ -54,6 +52,25 @@ def _argmax_tieset(coeffs: np.ndarray, tol: float = ARGMAX_TIE_TOL) -> tuple[int
     return ties[0], ties
 
 
+def _filter(svd: Svd, b: np.ndarray, alpha: float, rank: int | None = None) -> tuple[np.ndarray, float]:
+    """Minimizer of |M x - b|^2 + alpha |x|^2 for M = U diag(s) V^T, and |M x - b|.
+
+    x = V diag(f) U^T b with f = s/(s^2+alpha); alpha = 0 is the
+    pseudo-inverse over the leading `rank` triplets. g is the share of
+    c = U^T b left unfitted, so the residual needs no product M x.
+    """
+    U, s, V = svd
+    c = U.T @ b
+    if alpha > 0:
+        denom = s**2 + alpha
+        f, g = s / denom, alpha / denom
+    else:
+        f, g = np.zeros_like(s), np.ones_like(s)
+        f[:rank], g[:rank] = 1.0 / s[:rank], 0.0
+    residual = math.hypot(np.linalg.norm(g * c), np.linalg.norm(b - U @ c))
+    return V @ (f * c), residual
+
+
 def tikhonov(
     A_hat: np.ndarray,
     b_hat: np.ndarray,
@@ -62,45 +79,24 @@ def tikhonov(
 ) -> np.ndarray:
     """Solve min |A_hat z - b_hat|^2 + alpha |W z|^2, unique for alpha > 0.
 
-    weights holds the diagonal of W (identity when absent). Solved through
-    QR of the stacked matrix [A_hat; sqrt(alpha) W], which computes the
-    same minimizer as the normal equations (A^T A + alpha W^2) z = A^T b
-    but stays backward stable when alpha is far below |A_hat|^2 (squaring
-    A_hat would drown alpha in round-off there).
+    weights holds the positive diagonal of W (identity when absent). With
+    y = W z this is plain Tikhonov for A_hat W^{-1}: an SVD of that
+    matrix, the filter factors s/(s^2+alpha), then z = W^{-1} y.
     """
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha!r}")
-    A_hat = np.atleast_2d(np.asarray(A_hat, dtype=np.float64))
-    b_hat = np.asarray(b_hat, dtype=np.float64)
-    m, n = A_hat.shape
-    root = math.sqrt(alpha)
-    if weights is None:
-        penalty = np.full(n, root)
-    else:
-        penalty = root * np.asarray(weights, dtype=np.float64)
-    stacked = np.vstack([A_hat, np.diag(penalty)])
-    rhs = np.concatenate([b_hat, np.zeros(n)])
-    try:
-        Q, R = scipy.linalg.qr(stacked, mode="economic", check_finite=False)
-        diag = np.abs(np.diag(R))
-        if diag.min() == 0.0 or diag.min() < 1e-15 * diag.max():
-            raise IllConditioned("regularized least-squares matrix numerically singular")
-        return scipy.linalg.solve_triangular(R, Q.T @ rhs, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise IllConditioned(f"regularized least-squares solve failed: {exc}") from exc
+    M = np.atleast_2d(np.asarray(A_hat, dtype=np.float64))
+    w = np.ones(M.shape[1]) if weights is None else np.asarray(weights, dtype=np.float64)
+    return _filter(thin_svd(M / w), np.asarray(b_hat, dtype=np.float64), alpha)[0] / w
 
 
 def min_norm_lsq(
     A_hat: np.ndarray, b_hat: np.ndarray, rank_tol_rel: float = RANK_TOL_REL
 ) -> np.ndarray:
     """Minimum-norm least-squares solution via the truncated-SVD pseudo-inverse."""
-    A_hat = np.asarray(A_hat, dtype=np.float64)
-    b_hat = np.asarray(b_hat, dtype=np.float64)
-    U, s, Vt = np.linalg.svd(A_hat, full_matrices=False)
+    U, s, V = thin_svd(np.asarray(A_hat, dtype=np.float64))
     r = int(np.sum(s > rank_tol_rel * s[0])) if s.size and s[0] > 0 else 0
-    if r == 0:
-        return np.zeros(A_hat.shape[1])
-    return Vt[:r].T @ ((U[:, :r].T @ b_hat) / s[:r])
+    return _filter((U, s, V), np.asarray(b_hat, dtype=np.float64), 0.0, r)[0]
 
 
 def residual_from_coeffs(
@@ -123,73 +119,53 @@ def residual_from_coeffs(
     return float(np.linalg.norm(fit - b_hat))
 
 
+def solve_method(
+    model: ForwardModel, sd: SpectralData, b_hat: np.ndarray, alpha: float, method: Method
+) -> SolveResult:
+    """Solve one method through the SVDs stored on sd; min_norm reports alpha 0."""
+    if method is Method.MIN_NORM:
+        alpha = 0.0
+    elif not alpha > 0:
+        raise ValueError(f"alpha must be positive, got {alpha!r}")
+    svd = sd.weighted_svd if method in (Method.METHOD_II, Method.METHOD_III) else (sd.U, sd.s, sd.V)
+    x, residual = _filter(svd, np.asarray(b_hat, dtype=np.float64), alpha, sd.rank)
+    if method in (Method.METHOD_I, Method.METHOD_III):
+        x = x / sd.p_norms
+    cell, ties = _argmax_tieset(x)
+    return SolveResult(x, alpha, residual, method, cell, ties)
+
+
 def standard_tikhonov(
     model: ForwardModel, sd: SpectralData, b_hat: np.ndarray, alpha: float
 ) -> SolveResult:
     """Unweighted Tikhonov solution."""
-    x = tikhonov(model.A_hat, b_hat, alpha)
-    res = float(np.linalg.norm(model.A_hat @ x - b_hat))
-    cell, ties = _argmax_tieset(x)
-    return SolveResult(x, alpha, res, Method.STANDARD_TIKHONOV, cell, ties)
+    return solve_method(model, sd, b_hat, alpha, Method.STANDARD_TIKHONOV)
 
 
 def method_I(
     model: ForwardModel, sd: SpectralData, b_hat: np.ndarray, alpha: float
 ) -> SolveResult:
     """Standard Tikhonov followed by the inverse weight scaling."""
-    x = tikhonov(model.A_hat, b_hat, alpha)
-    res = float(np.linalg.norm(model.A_hat @ x - b_hat))
-    coeffs = x / sd.p_norms
-    cell, ties = _argmax_tieset(coeffs)
-    return SolveResult(coeffs, alpha, res, Method.METHOD_I, cell, ties)
+    return solve_method(model, sd, b_hat, alpha, Method.METHOD_I)
 
 
 def method_II(
     model: ForwardModel, sd: SpectralData, b_hat: np.ndarray, alpha: float
 ) -> SolveResult:
     """Tikhonov for the rescaled operator A_hat W^{-1}."""
-    Aw = model.A_hat / sd.p_norms[None, :]
-    y = tikhonov(Aw, b_hat, alpha)
-    res = float(np.linalg.norm(Aw @ y - b_hat))
-    cell, ties = _argmax_tieset(y)
-    return SolveResult(y, alpha, res, Method.METHOD_II, cell, ties)
+    return solve_method(model, sd, b_hat, alpha, Method.METHOD_II)
 
 
 def method_III(
     model: ForwardModel, sd: SpectralData, b_hat: np.ndarray, alpha: float
 ) -> SolveResult:
     """Tikhonov with the weighted penalty |W z|; equals W^{-1} of method II."""
-    z = tikhonov(model.A_hat, b_hat, alpha, weights=sd.p_norms)
-    res = float(np.linalg.norm(model.A_hat @ z - b_hat))
-    cell, ties = _argmax_tieset(z)
-    return SolveResult(z, alpha, res, Method.METHOD_III, cell, ties)
+    return solve_method(model, sd, b_hat, alpha, Method.METHOD_III)
 
 
 def min_norm_solve(model: ForwardModel, sd: SpectralData, b_hat: np.ndarray) -> SolveResult:
     """Pseudo-inverse solution computed from the stored SVD."""
-    b_hat = np.asarray(b_hat, dtype=np.float64)
-    r = sd.rank
-    x = sd.V_r @ ((sd.U[:, :r].T @ b_hat) / sd.s[:r]) if r else np.zeros(sd.V.shape[0])
-    res = float(np.linalg.norm(model.A_hat @ x - b_hat))
-    cell, ties = _argmax_tieset(x)
-    return SolveResult(x, 0.0, res, Method.MIN_NORM, cell, ties)
-
-
-_SOLVERS = {
-    Method.STANDARD_TIKHONOV: standard_tikhonov,
-    Method.METHOD_I: method_I,
-    Method.METHOD_II: method_II,
-    Method.METHOD_III: method_III,
-}
-
-
-def solve_method(
-    model: ForwardModel, sd: SpectralData, b_hat: np.ndarray, alpha: float, method: Method
-) -> SolveResult:
-    """Dispatch one of the alpha-regularized methods."""
-    if method is Method.MIN_NORM:
-        return min_norm_solve(model, sd, b_hat)
-    return _SOLVERS[method](model, sd, b_hat, alpha)
+    return solve_method(model, sd, b_hat, 0.0, Method.MIN_NORM)
 
 
 def morozov(

@@ -17,12 +17,14 @@ import numpy as np
 import scipy.linalg
 
 from .control_space import ControlBasis, control_load_matrix
-from .errors import DegenerateBasis
+from .errors import DegenerateBasis, IllConditioned
 from .fem import FemSystem, StateSolver
 from .mesh import Mesh
 
 RANK_TOL_REL = 1e-12
 DEGENERATE_TOL = 1e-8
+
+Svd = tuple[np.ndarray, np.ndarray, np.ndarray]  # thin SVD (U, s, V), V as columns
 
 
 @dataclass(frozen=True)
@@ -54,6 +56,7 @@ class SpectralData:
     rank: int
     p_norms: np.ndarray
     rank_tol: float
+    weighted_svd: Svd  # of A_hat W^{-1}, the operator of methods II and III
 
     @property
     def V_r(self) -> np.ndarray:
@@ -95,6 +98,15 @@ def build_forward_model(
     return ForwardModel(A=A, R=R, A_hat=R @ A)
 
 
+def thin_svd(M: np.ndarray) -> Svd:
+    """Thin SVD of M; a failed SVD raises IllConditioned."""
+    try:
+        U, s, Vt = np.linalg.svd(M, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise IllConditioned(f"SVD failed: {exc}") from exc
+    return U, s, Vt.T
+
+
 def spectral_data_from_matrix(A_hat: np.ndarray, rank_tol_rel: float = RANK_TOL_REL) -> SpectralData:
     """SVD analysis of an arbitrary whitened matrix.
 
@@ -114,7 +126,8 @@ def spectral_data_from_matrix(A_hat: np.ndarray, rank_tol_rel: float = RANK_TOL_
         i = int(bad[0])
         raise DegenerateBasis(i, float(p_norms[i]))
     return SpectralData(
-        U=U, s=s, V=Vt.T, rank=rank, p_norms=p_norms, rank_tol=rank_tol_rel
+        U=U, s=s, V=Vt.T, rank=rank, p_norms=p_norms, rank_tol=rank_tol_rel,
+        weighted_svd=thin_svd(A_hat / p_norms[None, :]),
     )
 
 

@@ -171,11 +171,7 @@ def check_method_iii_consistency(
 ) -> CheckResult:
     """Weighted-penalty solve equals the rescaled scaled-operator solve.
 
-    Uses full-column-rank systems with strongly nonuniform diagonal
-    weights: their regularized conditioning is alpha-independent, so the
-    1e-10 comparison measures the algebraic identity rather than the
-    cond^2 round-off floor that any one-shot solver hits on systems with
-    a genuine nullspace at small alpha.
+    Both use the SVD of A W^{-1}, so the gap is zero by construction.
     """
     worst = 0.0
     for _ in range(trials):

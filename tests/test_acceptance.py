@@ -32,7 +32,6 @@ from nullsrc import (
     morozov,
     optimal_scalar_weight,
     spectral_data_from_matrix,
-    tikhonov,
 )
 from nullsrc.cli import main
 from nullsrc.control_space import cell_touches_boundary
@@ -46,7 +45,13 @@ from nullsrc.experiments import (
 from nullsrc.fem import StateSolver
 from nullsrc.solvers import ARGMAX_TIE_TOL
 from nullsrc.spectral import ForwardModel
-from nullsrc.verify import crime_system, expansion_deviation, random_rank_deficient
+from nullsrc.verify import (
+    check_method_iii_consistency,
+    check_norm_inequalities,
+    crime_system,
+    expansion_deviation,
+    random_rank_deficient,
+)
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:
@@ -129,29 +134,9 @@ def test_criterion_02b_method1_argmax_membership(crime8):
 
 
 def test_criterion_03_norm_inequalities(crime8):
-    fm, sd = crime8
-    A, w = fm.A_hat, sd.p_norms
-    Aw = A / w[None, :]
-    wmin = w.min()
-    n = A.shape[1]
-    worst2 = worst3 = -np.inf
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        b = A[:, j]
-        xstar = min_norm_lsq(A, b)
-        ystar = min_norm_lsq(Aw, b)
-        rhs = float(np.linalg.norm(e - xstar / w))
-        worst2 = max(worst2, float(np.linalg.norm(e - ystar / w[j])) - rhs)
-        worst3 = max(worst3, float(np.linalg.norm(e - ystar / w)) - (w[j] / wmin) * rhs)
-    ok = worst2 <= 1e-10 and worst3 <= 1e-10
-    report(
-        "criterion 3 (method II / III inequalities, slack 1e-10)",
-        ok,
-        f"largest violations {worst2:.2e} (II) and {worst3:.2e} (III)",
-    )
-    assert worst2 <= 1e-10
-    assert worst3 <= 1e-10
+    result = check_norm_inequalities(*crime8)
+    report("criterion 3 (method II / III inequalities, slack 1e-10)", result.passed, result.detail)
+    assert result.passed
 
 
 def test_criterion_04_figure_reproduction():
@@ -289,26 +274,9 @@ def test_criterion_07_noise_model():
 
 
 def test_criterion_08_method3_consistency():
-    rng = np.random.default_rng(1008)
-    worst = 0.0
-    # full-column-rank draws keep the comparison above the round-off floor
-    for _ in range(10):
-        n = int(rng.integers(3, 9))
-        m = n + int(rng.integers(1, 8))
-        A = random_rank_deficient(rng, m, n, n)
-        w = rng.uniform(0.2, 1.0, size=n)
-        for alpha in (1e-6, 1e-3, 1.0):
-            b = rng.standard_normal(m)
-            y = tikhonov(A / w[None, :], b, alpha)
-            z = tikhonov(A, b, alpha, weights=w)
-            worst = max(worst, float(np.linalg.norm(z - y / w) / np.linalg.norm(y)))
-    ok = worst <= 1e-10
-    report(
-        "criterion 8 (method III equals rescaled method II)",
-        ok,
-        f"worst relative gap {worst:.2e} across alphas 1e-6, 1e-3, 1",
-    )
-    assert worst <= 1e-10
+    result = check_method_iii_consistency(np.random.default_rng(1008), trials=10)
+    report("criterion 8 (method III equals rescaled method II)", result.passed, result.detail)
+    assert result.passed
 
 
 def test_criterion_09_helmholtz_and_remaining_examples(tmp_path):

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from nullsrc.cli import main
 from nullsrc.experiments import builtin_presets, config_to_dict
 
@@ -90,3 +92,39 @@ def test_invalid_thread_cap_exits_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("NULLSRC_THREADS", "zero")
     assert main(["preset", "ex1", "--out", str(tmp_path / "o")]) == 2
     assert "NULLSRC_THREADS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ("alpha=nan", "finite"),
+        ("alpha=inf", "finite"),
+        ("kappa=nan", "finite"),
+        ("epsilon=nan", "finite"),
+        ("epsilon=inf", "finite"),
+        ("rank_tol=-1", "rank_tol"),
+        ("rank_tol=2", "rank_tol"),
+    ],
+)
+def test_bad_number_override_exits_2(tmp_path, capsys, override, message):
+    assert main(["preset", "ex1", "--out", str(tmp_path / "o"), "--override", override]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "preset, key, value, message",
+    [
+        ("ex4", "sigma", {"kind": "affine", "kappa1": [1.0, 0.5], "kappa2": [1, 0, 0]}, "kappa1"),
+        ("ex6a", "alpha", {"rule": "morozov", "alpha_min": 0}, "alpha_min"),
+        ("ex6a", "alpha", {"rule": "morozov", "rel_tol": 0}, "rel_tol"),
+        ("ex1", "true_source", [{"cell": 34, "amplitude": float("nan")}], "finite"),
+    ],
+    ids=["kappa1-length-2", "alpha_min-0", "rel_tol-0", "amplitude-nan"],
+)
+def test_bad_config_value_exits_2(tmp_path, capsys, preset, key, value, message):
+    data = config_to_dict(builtin_presets()[preset])
+    data[key] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err

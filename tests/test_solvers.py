@@ -64,8 +64,12 @@ class TestTikhonov:
         np.testing.assert_allclose(z, min_norm_lsq(A, b), atol=1e-6)
 
     def test_rejects_nonpositive_alpha(self):
-        with pytest.raises(ValueError):
-            tikhonov(np.eye(2), np.ones(2), 0.0)
+        fm, sd = model_from_matrix(np.eye(2))
+        for alpha in (0.0, float("nan")):
+            with pytest.raises(ValueError):
+                tikhonov(np.eye(2), np.ones(2), alpha)
+            with pytest.raises(ValueError):
+                solve_method(fm, sd, np.ones(2), alpha, Method.METHOD_II)
 
     def test_weighted_normal_equations_satisfied(self):
         rng = np.random.default_rng(34)
@@ -222,18 +226,40 @@ class TestMethodIII:
             assert lhs <= rhs + 1e-10
 
 
+def stacked_lstsq(M, b, alpha):
+    """Tikhonov minimizer from an independent least-squares solve of [M; sqrt(alpha) I]."""
+    n = M.shape[1]
+    stacked = np.vstack([M, np.sqrt(alpha) * np.eye(n)])
+    return np.linalg.lstsq(stacked, np.concatenate([b, np.zeros(n)]), rcond=None)[0]
+
+
+@pytest.mark.parametrize("alpha", [1e-6, 1e-3, 1.0])
+def test_methods_match_stacked_lstsq(crime8, random_systems, alpha):
+    rng = np.random.default_rng(44)
+    for fm, sd in [crime8, *random_systems]:
+        w = sd.p_norms
+        b = rng.standard_normal(fm.A_hat.shape[0])
+        x = stacked_lstsq(fm.A_hat, b, alpha)
+        y = stacked_lstsq(fm.A_hat / w, b, alpha)
+        expected = {standard_tikhonov: x, method_I: x / w, method_II: y, method_III: y / w}
+        for solve, reference in expected.items():
+            coeffs = solve(fm, sd, b, alpha).coeffs
+            assert np.linalg.norm(coeffs - reference) <= 1e-8 * np.linalg.norm(reference)
+
+
 class TestSolveResultContract:
     def test_residual_recomputable(self, crime8):
         fm, sd = crime8
         rng = np.random.default_rng(39)
         b = rng.standard_normal(fm.A_hat.shape[0])
-        for method in Method:
-            if method is Method.MIN_NORM:
-                r = min_norm_solve(fm, sd, b)
-            else:
-                r = solve_method(fm, sd, b, 1e-4, method)
-            recomputed = residual_from_coeffs(fm.A_hat, sd, method, r.coeffs, b)
-            assert recomputed == pytest.approx(r.residual, rel=1e-10)
+        for alpha in (1e-10, 1e-4, 1.0):
+            for method in Method:
+                if method is Method.MIN_NORM:
+                    r = min_norm_solve(fm, sd, b)
+                else:
+                    r = solve_method(fm, sd, b, alpha, method)
+                recomputed = residual_from_coeffs(fm.A_hat, sd, method, r.coeffs, b)
+                assert recomputed == pytest.approx(r.residual, rel=1e-10)
 
     def test_residual_monotone_in_alpha(self, random_systems):
         rng = np.random.default_rng(40)
