@@ -1,14 +1,12 @@
 """Command-line front end: run experiments, inspect spectra, verify theory.
 
 Exit codes: 0 success, 1 solver failure, 2 usage or configuration error.
-NULLSRC_THREADS (positive integer) caps internal parallelism.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .errors import ConfigError, InvalidSpec, NullsrcError
@@ -38,19 +36,6 @@ def _parse_overrides(pairs: list[str]) -> dict[str, str]:
     return overrides
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("NULLSRC_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"NULLSRC_THREADS must be a positive integer, got {raw!r}") from None
-    if n < 1:
-        raise ConfigError(f"NULLSRC_THREADS must be a positive integer, got {raw!r}")
-    return n
-
-
 def _resolve_config(args: argparse.Namespace):
     if getattr(args, "preset", None) is not None:
         presets = builtin_presets()
@@ -69,7 +54,7 @@ def _resolve_config(args: argparse.Namespace):
 
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    result = run_experiment(cfg, n_threads=_thread_cap())
+    result = run_experiment(cfg)
     manifest = export_result(result, args.out)
     print(f"wrote {manifest.parent}")
     failed = [name for name, out in result.outcomes.items() if out.error]
@@ -81,7 +66,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     setup = build_setup(cfg)
-    fm = build_forward_model(setup.sys_inv, setup.basis_inv, setup.mesh_inv, _thread_cap())
+    fm = build_forward_model(setup.sys_inv, setup.basis_inv, setup.mesh_inv)
     sd = analyze(fm, cfg.rank_tol)
     print(
         json.dumps(

@@ -46,7 +46,11 @@ class DegenerateBasis(NullsrcError):
 
 
 class IllConditioned(NullsrcError):
-    """An SVD failed to converge, or the discrepancy search did not."""
+    """A solve gave no usable coefficients.
+
+    An SVD or the discrepancy search failed to converge, or the
+    coefficients came out non-finite (for example from NaN data).
+    """
 
 
 class GammaTooSmall(NullsrcError):

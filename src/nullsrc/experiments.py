@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 from .control_space import (
     ControlBasis,
@@ -25,7 +24,7 @@ from .control_space import (
     project_cell_function,
 )
 from .errors import ConfigError, NullsrcError
-from .fem import CoefficientField, FemSystem, StateSolver, assemble, trace
+from .fem import CoefficientField, FemSystem, assemble, trace
 from .mesh import DomainSpec, Mesh, Shape, build_mesh, refine_uniform
 from .solvers import Method, SolveResult, morozov, solve_method
 from .spectral import RANK_TOL_REL, analyze, build_forward_model
@@ -226,8 +225,8 @@ def add_noise(d: np.ndarray, kappa: float, seed: int) -> tuple[np.ndarray, float
     """Perturb boundary data with scaled Gaussian noise.
 
     delta = kappa * (max d - min d); samples are drawn once, in
-    boundary-node order, from a generator seeded by `seed`, so results do
-    not depend on threading. kappa = 0 returns an untouched copy.
+    boundary-node order, from a generator seeded by `seed`, so reruns are
+    bit-identical. kappa = 0 returns an untouched copy.
     """
     d = np.asarray(d, dtype=np.float64)
     if kappa < 0:
@@ -243,11 +242,14 @@ def _synthesize(cfg: ExperimentConfig, setup: Setup) -> tuple[np.ndarray, np.nda
     """Clean data, noisy data, delta and the realized discrepancy gamma."""
     a = _true_coefficients(cfg, setup.basis_fwd)
     load = control_load_matrix(setup.basis_fwd, setup.sys_fwd, setup.mesh_fwd) @ a
-    u = StateSolver(setup.sys_fwd).solve(load)
+    u = setup.sys_fwd.solver.solve(load)
     d = trace(setup.sys_fwd, u)[setup.restrict_idx]
     d_noisy, delta = add_noise(d, cfg.noise_kappa, cfg.seed)
-    R = scipy.linalg.cholesky(setup.sys_inv.B, lower=False, check_finite=False)
-    gamma = float(np.linalg.norm(R @ (d_noisy - d)))
+    gamma = float(np.linalg.norm(setup.sys_inv.R @ (d_noisy - d)))
+    if not math.isfinite(gamma):
+        raise ConfigError(
+            f"noise level kappa={cfg.noise_kappa!r} gives a non-finite noise norm gamma"
+        )
     return d, d_noisy, delta, gamma
 
 
@@ -271,7 +273,7 @@ def _chebyshev_to_truth(
     return int(np.min(np.maximum(np.abs(coords[:, 0] - gx), np.abs(coords[:, 1] - gy))))
 
 
-def run_experiment(cfg: ExperimentConfig, n_threads: int = 1) -> ExperimentResult:
+def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Full pipeline for every requested method.
 
     Per-method solver failures are recorded in the outcome instead of
@@ -280,7 +282,7 @@ def run_experiment(cfg: ExperimentConfig, n_threads: int = 1) -> ExperimentResul
     setup = build_setup(cfg)
     d, d_noisy, delta, gamma = _synthesize(cfg, setup)
 
-    fm = build_forward_model(setup.sys_inv, setup.basis_inv, setup.mesh_inv, n_threads)
+    fm = build_forward_model(setup.sys_inv, setup.basis_inv, setup.mesh_inv)
     sd = analyze(fm, cfg.rank_tol)
     b_hat = fm.R @ d_noisy
 
@@ -464,12 +466,12 @@ def apply_overrides(cfg: ExperimentConfig, overrides: dict[str, str]) -> Experim
 
 
 def export_result(result: ExperimentResult, out_dir: str | Path) -> Path:
-    """Write the per-run CSV files and manifest.json into out_dir."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    basis = result.basis_inverse
+    """Write the per-run CSV files and manifest.json into out_dir.
 
-    _write_field_csv(out / "true_source.csv", basis, result.truth_values)
+    A NaN or infinite manifest number raises NullsrcError before any file
+    is written, so no non-standard JSON reaches disk.
+    """
+    basis = result.basis_inverse
     methods_manifest: dict[str, dict] = {}
     touches = cell_touches_boundary(basis)
     for name, outcome in result.outcomes.items():
@@ -477,7 +479,6 @@ def export_result(result: ExperimentResult, out_dir: str | Path) -> Path:
             methods_manifest[name] = {"error": outcome.error}
             continue
         solved = outcome.result
-        _write_field_csv(out / f"source_{name}.csv", basis, outcome.values)
         methods_manifest[name] = {
             "alpha": float(solved.alpha),
             "residual": float(solved.residual),
@@ -487,16 +488,6 @@ def export_result(result: ExperimentResult, out_dir: str | Path) -> Path:
             "argmax_chebyshev_distance": outcome.argmax_chebyshev,
             "argmax_touches_boundary": bool(touches[solved.argmax_cell]),
         }
-
-    lines = ["node,x,y,d,d_noisy"]
-    for k, node in enumerate(result.boundary_nodes):
-        x, y = result.boundary_xy[k]
-        lines.append(
-            f"{int(node)},{_csv_float(x)},{_csv_float(y)},"
-            f"{_csv_float(result.d[k])},{_csv_float(result.d_noisy[k])}"
-        )
-    (out / "boundary.csv").write_text("\n".join(lines) + "\n")
-
     manifest = {
         "config": config_to_dict(result.config),
         "gamma": result.gamma,
@@ -508,7 +499,27 @@ def export_result(result: ExperimentResult, out_dir: str | Path) -> Path:
         "s_min": result.s_min,
         "methods": methods_manifest,
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    try:
+        manifest_text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NullsrcError(f"refusing to export a non-finite result: {exc}") from exc
+
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    _write_field_csv(out / "true_source.csv", basis, result.truth_values)
+    for name, outcome in result.outcomes.items():
+        if outcome.error is None:
+            _write_field_csv(out / f"source_{name}.csv", basis, outcome.values)
+
+    lines = ["node,x,y,d,d_noisy"]
+    for k, node in enumerate(result.boundary_nodes):
+        x, y = result.boundary_xy[k]
+        lines.append(
+            f"{int(node)},{_csv_float(x)},{_csv_float(y)},"
+            f"{_csv_float(result.d[k])},{_csv_float(result.d_noisy[k])}"
+        )
+    (out / "boundary.csv").write_text("\n".join(lines) + "\n")
+    (out / "manifest.json").write_text(manifest_text)
     return out / "manifest.json"
 
 

@@ -3,16 +3,19 @@
 All element integrals are exact for the piecewise-linear ansatz: the
 element mass matrix is area/12 * [[2,1,1],[1,2,1],[1,1,2]], gradients are
 constant per triangle, and boundary edges carry length/6 * [[2,1],[1,2]].
+The state matrix of a system is factored once, by one sparse LU, and the
+factor is shared by every solve on that system.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 
 from .errors import NonPositiveCoefficient, SingularState
 from .mesh import Mesh, triangle_areas
@@ -72,6 +75,16 @@ class FemSystem:
     @property
     def n_nodes(self) -> int:
         return self.M.shape[0]
+
+    @cached_property
+    def solver(self) -> "StateSolver":
+        """The one factorization of S, made on first use and shared afterwards."""
+        return StateSolver(self)
+
+    @cached_property
+    def R(self) -> np.ndarray:
+        """Upper-triangular Cholesky factor of the boundary mass matrix, B = R^T R."""
+        return np.linalg.cholesky(self.B).T
 
 
 def assemble(mesh: Mesh, epsilon: float, sigma: CoefficientField | None = None) -> FemSystem:
@@ -139,39 +152,29 @@ def assemble(mesh: Mesh, epsilon: float, sigma: CoefficientField | None = None) 
 
 
 class StateSolver:
-    """Factorization of the state matrix, reusable across many loads.
+    """Sparse LU factorization of the state matrix, reusable across many loads.
 
-    Uses a Cholesky factorization when epsilon > 0 (S is then symmetric
-    positive definite) and LU with a relative pivot check otherwise.
-    Immutable after construction; safe to share between threads.
+    One path for every epsilon: scipy's splu of S in CSC form with its
+    default column ordering. The state is declared singular (pure Neumann
+    problem or a resonance) when the factorization breaks down or the
+    smallest |diag U| falls below PIVOT_TOL times the largest.
     """
 
     def __init__(self, sys: FemSystem):
-        S = sys.S.toarray()
-        self._spd = sys.epsilon > 0
-        if self._spd:
-            try:
-                self._factor = scipy.linalg.cho_factor(S, check_finite=False)
-            except scipy.linalg.LinAlgError as exc:
-                raise SingularState(f"Cholesky failed on the state matrix: {exc}") from exc
-            diag = np.abs(np.diag(self._factor[0]))
-            if diag.min() < np.sqrt(PIVOT_TOL) * diag.max():
-                raise SingularState("state matrix numerically singular (tiny Cholesky pivot)")
-        else:
-            lu, piv = scipy.linalg.lu_factor(S, check_finite=False)
-            diag = np.abs(np.diag(lu))
-            if diag.min() < PIVOT_TOL * diag.max():
-                raise SingularState(
-                    f"state matrix numerically singular at epsilon={sys.epsilon!r} "
-                    f"(pure Neumann or near a resonance)"
-                )
-            self._factor = (lu, piv)
+        try:
+            self._lu = scipy.sparse.linalg.splu(sys.S.tocsc())
+        except RuntimeError as exc:  # "Factor is exactly singular"
+            raise SingularState(f"state matrix singular at epsilon={sys.epsilon!r}: {exc}") from exc
+        diag = np.abs(self._lu.U.diagonal())
+        if diag.min() < PIVOT_TOL * diag.max():
+            raise SingularState(
+                f"state matrix numerically singular at epsilon={sys.epsilon!r} "
+                f"(pure Neumann or near a resonance)"
+            )
 
     def solve(self, load: np.ndarray) -> np.ndarray:
         """Solve S*u = load for one vector or a matrix of stacked columns."""
-        if self._spd:
-            return scipy.linalg.cho_solve(self._factor, load, check_finite=False)
-        return scipy.linalg.lu_solve(self._factor, load, check_finite=False)
+        return self._lu.solve(np.asarray(load, dtype=np.float64))
 
 
 def solve_state(sys: FemSystem, load: np.ndarray) -> np.ndarray:

@@ -47,9 +47,10 @@ class SolveResult:
 
 
 def _argmax_tieset(coeffs: np.ndarray, tol: float = ARGMAX_TIE_TOL) -> tuple[int, tuple[int, ...]]:
-    top = float(np.max(coeffs))
-    ties = tuple(int(i) for i in np.flatnonzero(coeffs >= top - tol))
-    return ties[0], ties
+    if not np.isfinite(coeffs).all():
+        raise IllConditioned("solution coefficients are not all finite")
+    ties = np.flatnonzero(coeffs >= coeffs.max() - tol).tolist()
+    return ties[0], tuple(ties)
 
 
 def _filter(svd: Svd, b: np.ndarray, alpha: float, rank: int | None = None) -> tuple[np.ndarray, float]:

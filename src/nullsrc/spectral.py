@@ -10,15 +10,13 @@ define the diagonal weight operator.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .control_space import ControlBasis, control_load_matrix
 from .errors import DegenerateBasis, IllConditioned
-from .fem import FemSystem, StateSolver
+from .fem import FemSystem
 from .mesh import Mesh
 
 RANK_TOL_REL = 1e-12
@@ -71,31 +69,15 @@ class SpectralData:
         return self.V_r @ (self.V_r.T @ np.asarray(x, dtype=np.float64))
 
 
-def build_forward_model(
-    sys: FemSystem, basis: ControlBasis, mesh: Mesh, n_threads: int = 1
-) -> ForwardModel:
-    """Assemble A column by column with one shared state factorization.
+def build_forward_model(sys: FemSystem, basis: ControlBasis, mesh: Mesh) -> ForwardModel:
+    """Assemble A from one solve of all basis loads against the system's factor.
 
-    Columns are independent solves; with n_threads > 1 they are computed
-    in disjoint column blocks, which leaves the result identical.
+    The factor and R are the ones cached on sys, so data synthesis on the
+    same system reuses them instead of factoring again.
     """
     M_cf = control_load_matrix(basis, sys, mesh)
-    solver = StateSolver(sys)
-    tmap = sys.trace_map
-    if n_threads <= 1 or basis.n == 1:
-        A = solver.solve(M_cf)[tmap, :]
-    else:
-        A = np.empty((len(tmap), basis.n))
-        blocks = np.array_split(np.arange(basis.n), min(n_threads, basis.n))
-
-        def run(cols: np.ndarray) -> None:
-            A[:, cols] = solver.solve(M_cf[:, cols])[tmap, :]
-
-        with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-            list(pool.map(run, blocks))
-
-    R = scipy.linalg.cholesky(sys.B, lower=False, check_finite=False)
-    return ForwardModel(A=A, R=R, A_hat=R @ A)
+    A = sys.solver.solve(M_cf)[sys.trace_map, :]
+    return ForwardModel(A=A, R=sys.R, A_hat=sys.R @ A)
 
 
 def thin_svd(M: np.ndarray) -> Svd:

@@ -82,16 +82,12 @@ def test_solver_error_exits_1(tmp_path, capsys):
     assert "SingularState" in capsys.readouterr().err
 
 
-def test_thread_cap_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("NULLSRC_THREADS", "2")
+def test_huge_noise_level_exits_2_without_manifest(tmp_path, capsys):
+    # finite kappa whose noise norm overflows: no Infinity may reach a manifest
     out = tmp_path / "o"
-    assert main(["preset", "ex1", "--out", str(out)]) == 0
-
-
-def test_invalid_thread_cap_exits_2(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("NULLSRC_THREADS", "zero")
-    assert main(["preset", "ex1", "--out", str(tmp_path / "o")]) == 2
-    assert "NULLSRC_THREADS" in capsys.readouterr().err
+    assert main(["preset", "ex1", "--out", str(out), "--override", "kappa=1e300"]) == 2
+    assert "gamma" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from nullsrc import ConfigError, DomainSpec, Method, Shape
+import nullsrc.fem
+from nullsrc import ConfigError, DomainSpec, Method, NullsrcError, Shape
 from nullsrc.experiments import (
     ExperimentConfig,
     MorozovRule,
@@ -149,6 +150,25 @@ class TestRunExperiment:
         res = run_experiment(cfg)
         # argmax near one of the two opposite corner cells
         assert res.outcomes["method_iii"].argmax_chebyshev <= 1
+
+    @pytest.mark.parametrize("inverse_crime, factors", [(True, 1), (False, 2)])
+    def test_one_factorization_per_system(self, monkeypatch, inverse_crime, factors):
+        calls = []
+        original = nullsrc.fem.StateSolver
+
+        def counting(sys):
+            calls.append(sys)
+            return original(sys)
+
+        monkeypatch.setattr(nullsrc.fem, "StateSolver", counting)
+        cfg = crime_cfg(
+            inverse_crime=inverse_crime,
+            control_dims_forward=(4, 4),
+            control_dims_inverse=(4, 4),
+            true_source=((5, 1.0),),
+        )
+        run_experiment(cfg)
+        assert len(calls) == factors
 
 
 class TestPresets:
@@ -303,3 +323,10 @@ class TestExport:
         path.write_text("{not json")
         with pytest.raises(ConfigError):
             load_config(path)
+
+    def test_non_finite_result_is_not_written(self, tmp_path):
+        res = run_experiment(crime_cfg())
+        res.s_min = float("nan")
+        with pytest.raises(NullsrcError):
+            export_result(res, tmp_path / "o")
+        assert not (tmp_path / "o").exists()

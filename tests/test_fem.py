@@ -1,8 +1,11 @@
 """Assembly and state-solve tests against dense and analytic oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from nullsrc import (
     CoefficientField,
@@ -137,6 +140,12 @@ class TestSolveState:
         resonant = assemble(mesh, -float(eigs[3]))
         with pytest.raises(SingularState):
             StateSolver(resonant)
+
+    def test_exactly_singular_is_singular_state(self, square3):
+        _, sys = square3
+        zero = dataclasses.replace(sys, S=scipy.sparse.csr_matrix(sys.S.shape))
+        with pytest.raises(SingularState):
+            StateSolver(zero)
 
     def test_continuity_in_epsilon(self):
         mesh = build_mesh(DomainSpec(Shape.UNIT_SQUARE, 5, 5))

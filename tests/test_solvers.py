@@ -6,6 +6,7 @@ import pytest
 from nullsrc import (
     GammaTooLarge,
     GammaTooSmall,
+    IllConditioned,
     Method,
     method_I,
     method_II,
@@ -281,6 +282,12 @@ class TestSolveResultContract:
         r = standard_tikhonov(fm, sd, np.array([1.0, 1.0, 0.0]), 1e-6)
         assert r.argmax_cell == 0
         assert set(r.argmax_tieset) == {0, 1}
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_nan_data_raises_ill_conditioned(self, method):
+        fm, sd = model_from_matrix(np.eye(3))
+        with pytest.raises(IllConditioned):
+            solve_method(fm, sd, np.array([1.0, np.nan, 0.0]), 1e-3, method)
 
 
 class TestMorozov:

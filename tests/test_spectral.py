@@ -59,12 +59,6 @@ class TestForwardModel:
         u = np.linalg.solve(sys.S.toarray(), M_cf[:, j])
         np.testing.assert_allclose(fm.A[:, j], u[sys.trace_map], atol=1e-12)
 
-    def test_threaded_columns_identical(self, crime8):
-        mesh, sys, basis, fm, _ = crime8
-        fm4 = build_forward_model(sys, basis, mesh, n_threads=4)
-        np.testing.assert_array_equal(fm.A, fm4.A)
-        np.testing.assert_array_equal(fm.A_hat, fm4.A_hat)
-
 
 class TestAnalyze:
     def test_symmetric_1x2(self):
