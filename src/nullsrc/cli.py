@@ -1,6 +1,8 @@
 """Command-line front end: run experiments, inspect spectra, verify theory.
 
-Exit codes: 0 success, 1 solver failure, 2 usage or configuration error.
+Exit codes: 0 success, 1 solver failure, 2 usage or configuration error
+(any InvalidSpec, which includes ConfigError, IncompatibleGrids and
+NonPositiveCoefficient).
 """
 
 from __future__ import annotations
@@ -136,7 +138,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except InvalidSpec as exc:  # configuration problems, incl. ConfigError
+    except InvalidSpec as exc:  # configuration problems
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except NullsrcError as exc:

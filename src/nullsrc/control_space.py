@@ -83,8 +83,7 @@ def build_control_basis(mesh: Mesh, mx: int, my: int) -> ControlBasis:
 
     flat = gy * mx + gx
     present = np.unique(flat)  # ascending == row-major order
-    cell_of_flat = {int(f): i for i, f in enumerate(present)}
-    tri_cells = np.array([cell_of_flat[int(f)] for f in flat], dtype=np.int64)
+    tri_cells = np.searchsorted(present, flat)
 
     pgx = present % mx
     pgy = present // mx
@@ -123,6 +122,16 @@ def control_load_matrix(basis: ControlBasis, sys: FemSystem, mesh: Mesh) -> np.n
     for k in range(3):
         np.add.at(M_cf, (mesh.triangles[:, k], basis.triangle_cells), contrib)
     return M_cf
+
+
+def source_load(basis: ControlBasis, mesh: Mesh, coeffs: np.ndarray) -> np.ndarray:
+    """P1 load vector of sum(coeffs_i * phi_i), assembled without M_cf.
+
+    Equals control_load_matrix(...) @ coeffs up to rounding: each triangle
+    adds its cell value times area_T / 3 to each of its three vertices.
+    """
+    per_tri = (coeffs * basis.scale)[basis.triangle_cells] * triangle_areas(mesh) / 3.0
+    return np.bincount(mesh.triangles.ravel(), np.repeat(per_tri, 3), minlength=mesh.n_nodes)
 
 
 def coefficients_to_cell_field(basis: ControlBasis, coeffs: np.ndarray) -> np.ndarray:
@@ -169,11 +178,10 @@ def cell_touches_boundary(basis: ControlBasis) -> np.ndarray:
     An edge lies on the boundary exactly when there is no neighbouring
     cell across it (cells tile the domain).
     """
-    occupied = {(int(gx), int(gy)) for gx, gy in basis.grid_coords}
-    touches = np.zeros(basis.n, dtype=bool)
-    for i, (gx, gy) in enumerate(basis.grid_coords):
-        for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            if (int(gx) + dx, int(gy) + dy) not in occupied:
-                touches[i] = True
-                break
-    return touches
+    mx, my = basis.grid_dims
+    gx, gy = basis.grid_coords.T + 1
+    occupied = np.zeros((my + 2, mx + 2), dtype=bool)  # padded by one empty ring
+    occupied[gy, gx] = True
+    return ~(
+        occupied[gy, gx + 1] & occupied[gy, gx - 1] & occupied[gy + 1, gx] & occupied[gy - 1, gx]
+    )

@@ -13,7 +13,7 @@ class ConfigError(InvalidSpec):
     """A configuration file or override could not be parsed or validated."""
 
 
-class NonPositiveCoefficient(NullsrcError):
+class NonPositiveCoefficient(InvalidSpec):
     """Diffusion coefficient is not uniformly positive."""
 
 
@@ -21,7 +21,7 @@ class SingularState(NullsrcError):
     """State matrix is numerically singular (pure Neumann or resonance)."""
 
 
-class IncompatibleGrids(NullsrcError):
+class IncompatibleGrids(InvalidSpec):
     """A mesh triangle straddles a control-cell boundary."""
 
 

@@ -20,8 +20,8 @@ from .control_space import (
     build_control_basis,
     cell_touches_boundary,
     coefficients_to_cell_field,
-    control_load_matrix,
     project_cell_function,
+    source_load,
 )
 from .errors import ConfigError, NullsrcError
 from .fem import CoefficientField, FemSystem, assemble, trace
@@ -151,6 +151,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("sigma kappa1 and kappa2 need 3 coefficients each (c0, cx, cy)")
     if cfg.noise_kappa < 0:
         raise ConfigError(f"noise_kappa must be nonnegative, got {cfg.noise_kappa!r}")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {cfg.seed!r}")
+    if len(cfg.control_dims_forward) != 2 or len(cfg.control_dims_inverse) != 2:
+        raise ConfigError("control dims need two entries each (mx, my)")
     if not 0 < cfg.rank_tol < 1:
         raise ConfigError(f"rank_tol must lie in (0, 1), got {cfg.rank_tol!r}")
     if not cfg.inverse_crime:
@@ -189,11 +193,7 @@ def build_setup(cfg: ExperimentConfig) -> Setup:
         coarse_spec = DomainSpec(cfg.domain.shape, cfg.domain.nx // 2, cfg.domain.ny // 2)
         mesh_inv = build_mesh(coarse_spec)
         mesh_fwd, injection = refine_uniform(mesh_inv)
-        fine_pos = {int(node): i for i, node in enumerate(mesh_fwd.boundary_nodes)}
-        restrict_idx = np.array(
-            [fine_pos[int(injection[k])] for k in mesh_inv.boundary_nodes],
-            dtype=np.int64,
-        )
+        restrict_idx = np.searchsorted(mesh_fwd.boundary_nodes, injection[mesh_inv.boundary_nodes])
     sys_inv = assemble(mesh_inv, cfg.epsilon, cfg.sigma.materialize(mesh_inv))
     sys_fwd = (
         sys_inv
@@ -241,8 +241,7 @@ def add_noise(d: np.ndarray, kappa: float, seed: int) -> tuple[np.ndarray, float
 def _synthesize(cfg: ExperimentConfig, setup: Setup) -> tuple[np.ndarray, np.ndarray, float, float]:
     """Clean data, noisy data, delta and the realized discrepancy gamma."""
     a = _true_coefficients(cfg, setup.basis_fwd)
-    load = control_load_matrix(setup.basis_fwd, setup.sys_fwd, setup.mesh_fwd) @ a
-    u = setup.sys_fwd.solver.solve(load)
+    u = setup.sys_fwd.solver.solve(source_load(setup.basis_fwd, setup.mesh_fwd, a))
     d = trace(setup.sys_fwd, u)[setup.restrict_idx]
     d_noisy, delta = add_noise(d, cfg.noise_kappa, cfg.seed)
     gamma = float(np.linalg.norm(setup.sys_inv.R @ (d_noisy - d)))
@@ -424,7 +423,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             inverse_crime=bool(data.get("inverse_crime", False)),
             rank_tol=float(data.get("rank_tol", RANK_TOL_REL)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed experiment config: {exc}") from exc
 
 

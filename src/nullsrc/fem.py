@@ -136,16 +136,16 @@ def assemble(mesh: Mesh, epsilon: float, sigma: CoefficientField | None = None) 
     M = scipy.sparse.coo_matrix((me.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
     bnodes = mesh.boundary_nodes
-    pos = {int(v): i for i, v in enumerate(bnodes)}
-    nb = len(bnodes)
-    B = np.zeros((nb, nb))
-    for u, v in mesh.boundary_edges:
-        length = float(np.linalg.norm(mesh.nodes[u] - mesh.nodes[v]))
-        i, j = pos[int(u)], pos[int(v)]
-        B[i, i] += length / 3.0
-        B[j, j] += length / 3.0
-        B[i, j] += length / 6.0
-        B[j, i] += length / 6.0
+    i, j = np.searchsorted(bnodes, mesh.boundary_edges).T
+    seg = mesh.nodes[mesh.boundary_edges[:, 0]] - mesh.nodes[mesh.boundary_edges[:, 1]]
+    length = np.linalg.norm(seg, axis=1)
+    B = np.zeros((len(bnodes), len(bnodes)))
+    # every boundary node ends exactly two edges: its diagonal sum is order-free
+    np.add.at(
+        B,
+        (np.concatenate([i, j, i, j]), np.concatenate([i, j, j, i])),
+        np.concatenate([length / 3.0, length / 3.0, length / 6.0, length / 6.0]),
+    )
 
     S = (K + epsilon * M).tocsr()
     return FemSystem(K_sigma=K, M=M, B=B, S=S, epsilon=epsilon, trace_map=bnodes.copy())

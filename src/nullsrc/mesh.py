@@ -61,21 +61,33 @@ class Mesh:
         return self.triangles.shape[0]
 
 
+def _edges(triangles: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Directed edges (a,b), (b,c), (c,a) of every triangle, in triangle order.
+
+    Returns the tails, the heads and one int64 key min*n_nodes + max per
+    edge, so both orientations of an undirected edge share a key and keys
+    sort like the (min, max) pairs.
+    """
+    u = triangles.ravel()
+    v = np.roll(triangles, -1, axis=1).ravel()
+    return u, v, np.minimum(u, v) * n_nodes + np.maximum(u, v)
+
+
 def _boundary_structure(triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Boundary edges (appearing in exactly one triangle) and their nodes."""
-    counts: dict[tuple[int, int], int] = {}
-    oriented: dict[tuple[int, int], tuple[int, int]] = {}
-    for a, b, c in triangles:
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = (min(u, v), max(u, v))
-            counts[key] = counts.get(key, 0) + 1
-            oriented[key] = (u, v)
-    bedges = [oriented[k] for k, n in counts.items() if n == 1]
-    if any(n > 2 for n in counts.values()):
+    """Boundary edges (appearing in exactly one triangle) and their nodes.
+
+    Edges keep their owning triangle's orientation and are sorted by
+    (tail, head); raises InvalidSpec if an edge has more than two triangles.
+    """
+    triangles = np.asarray(triangles, dtype=np.int64)
+    u, v, keys = _edges(triangles, int(triangles.max(initial=-1)) + 1)
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    if (counts > 2).any():
         raise InvalidSpec("non-manifold edge: more than two incident triangles")
-    bedges_arr = np.array(sorted(bedges), dtype=np.int64).reshape(-1, 2)
-    bnodes = np.unique(bedges_arr)
-    return bedges_arr, bnodes
+    once = first[counts == 1]
+    tail, head = u[once], v[once]
+    bedges = np.column_stack([tail, head])[np.lexsort((head, tail))]
+    return bedges, np.unique(bedges)
 
 
 def triangle_areas(mesh: Mesh) -> np.ndarray:
@@ -104,44 +116,23 @@ def build_mesh(spec: DomainSpec) -> Mesh:
         )
 
     hx, hy = 1.0 / nx, 1.0 / ny
-    if spec.shape is Shape.UNIT_SQUARE:
-        keep_node = np.ones((ny + 1, nx + 1), dtype=bool)
-        keep_cell = np.ones((ny, nx), dtype=bool)
-    else:
-        ix = np.arange(nx + 1)
-        iy = np.arange(ny + 1)
-        keep_node = (iy[:, None] <= ny // 2) | (ix[None, :] <= nx // 2)
-        cx = np.arange(nx)
-        cy = np.arange(ny)
-        keep_cell = (cy[:, None] < ny // 2) | (cx[None, :] < nx // 2)
+    keep_node = np.ones((ny + 1, nx + 1), dtype=bool)
+    keep_cell = np.ones((ny, nx), dtype=bool)
+    if spec.shape is Shape.L_SHAPE:
+        keep_node[ny // 2 + 1 :, nx // 2 + 1 :] = False
+        keep_cell[ny // 2 :, nx // 2 :] = False
 
-    index = -np.ones((ny + 1, nx + 1), dtype=np.int64)
-    nodes = []
-    k = 0
-    for j in range(ny + 1):
-        for i in range(nx + 1):
-            if keep_node[j, i]:
-                index[j, i] = k
-                nodes.append((i * hx, j * hy))
-                k += 1
-
-    triangles = []
-    for j in range(ny):
-        for i in range(nx):
-            if not keep_cell[j, i]:
-                continue
-            n00 = index[j, i]
-            n10 = index[j, i + 1]
-            n01 = index[j + 1, i]
-            n11 = index[j + 1, i + 1]
-            # diagonal from lower-left to upper-right
-            triangles.append((n00, n10, n11))
-            triangles.append((n00, n11, n01))
-
-    tri_arr = np.array(triangles, dtype=np.int64)
+    row, col = np.nonzero(keep_node)  # row-major
+    index = np.full((ny + 1, nx + 1), -1, dtype=np.int64)
+    index[row, col] = np.arange(row.size)
+    j, i = np.nonzero(keep_cell)
+    n00, n10 = index[j, i], index[j, i + 1]
+    n01, n11 = index[j + 1, i], index[j + 1, i + 1]
+    # two triangles per cell, diagonal from lower-left to upper-right
+    tri_arr = np.column_stack([n00, n10, n11, n00, n11, n01]).reshape(-1, 3)
     bedges, bnodes = _boundary_structure(tri_arr)
     return Mesh(
-        nodes=np.array(nodes, dtype=np.float64),
+        nodes=np.column_stack([col * hx, row * hy]),
         triangles=tri_arr,
         boundary_edges=bedges,
         boundary_nodes=bnodes,
@@ -156,28 +147,17 @@ def refine_uniform(mesh: Mesh) -> tuple[Mesh, np.ndarray]:
     (here simply arange(n_coarse), kept explicit for callers).
     """
     n_coarse = mesh.n_nodes
-    edges = set()
-    for a, b, c in mesh.triangles:
-        for u, v in ((a, b), (b, c), (c, a)):
-            edges.add((min(u, v), max(u, v)))
-    edge_list = sorted(edges)
-    midpoint = {e: n_coarse + i for i, e in enumerate(edge_list)}
+    tris = np.asarray(mesh.triangles, dtype=np.int64)
+    _, _, keys = _edges(tris, n_coarse)
+    edge_keys, edge_of = np.unique(keys, return_inverse=True)  # sorted (min, max)
+    lo, hi = np.divmod(edge_keys, n_coarse)
+    fine_nodes = np.vstack([mesh.nodes, 0.5 * (mesh.nodes[lo] + mesh.nodes[hi])])
 
-    fine_nodes = np.vstack(
-        [mesh.nodes]
-        + [0.5 * (mesh.nodes[[u]] + mesh.nodes[[v]]) for u, v in edge_list]
-    )
-
-    fine_tris = []
-    for a, b, c in mesh.triangles:
-        mab = midpoint[(min(a, b), max(a, b))]
-        mbc = midpoint[(min(b, c), max(b, c))]
-        mca = midpoint[(min(c, a), max(c, a))]
-        fine_tris.extend(
-            [(a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca)]
-        )
-
-    tri_arr = np.array(fine_tris, dtype=np.int64)
+    a, b, c = tris.T
+    mab, mbc, mca = (n_coarse + edge_of.reshape(-1, 3)).T
+    tri_arr = np.column_stack(
+        [a, mab, mca, mab, b, mbc, mca, mbc, c, mab, mbc, mca]
+    ).reshape(-1, 3)
     bedges, bnodes = _boundary_structure(tri_arr)
     fine = Mesh(
         nodes=fine_nodes,

@@ -114,8 +114,21 @@ def test_bad_number_override_exits_2(tmp_path, capsys, override, message):
         ("ex6a", "alpha", {"rule": "morozov", "alpha_min": 0}, "alpha_min"),
         ("ex6a", "alpha", {"rule": "morozov", "rel_tol": 0}, "rel_tol"),
         ("ex1", "true_source", [{"cell": 34, "amplitude": float("nan")}], "finite"),
+        ("ex1", "control_dims_forward", [5, 5], "straddles"),
+        ("ex1", "control_dims_inverse", [0, 8], "positive"),
+        ("ex1", "control_dims_forward", [8, 8, 8], "two entries"),
+        ("ex4", "sigma", {"kind": "affine", "kappa1": [-1, 0, 0], "kappa2": [1, 0, 0]}, "positive"),
     ],
-    ids=["kappa1-length-2", "alpha_min-0", "rel_tol-0", "amplitude-nan"],
+    ids=[
+        "kappa1-length-2",
+        "alpha_min-0",
+        "rel_tol-0",
+        "amplitude-nan",
+        "control-dims-5x5-on-16x16",
+        "control-dims-0x8",
+        "control-dims-three-entries",
+        "kappa1-negative",
+    ],
 )
 def test_bad_config_value_exits_2(tmp_path, capsys, preset, key, value, message):
     data = config_to_dict(builtin_presets()[preset])

@@ -16,7 +16,7 @@ from nullsrc import (
     control_load_matrix,
     project_cell_function,
 )
-from nullsrc.control_space import cell_touches_boundary
+from nullsrc.control_space import cell_touches_boundary, source_load
 from nullsrc.mesh import triangle_areas
 
 
@@ -77,6 +77,15 @@ class TestControlLoadMatrix:
         M_cf = control_load_matrix(basis, sys, mesh)
         load = M_cf @ np.sqrt(basis.areas)
         np.testing.assert_allclose(load, sys.M @ np.ones(sys.n_nodes), atol=1e-12)
+
+    def test_source_load_matches_matrix_product(self):
+        mesh = build_mesh(DomainSpec(Shape.L_SHAPE, 16, 16))
+        sys = assemble(mesh, 1e-3)
+        basis = build_control_basis(mesh, 8, 8)
+        a = np.random.default_rng(3).standard_normal(basis.n)
+        np.testing.assert_allclose(
+            source_load(basis, mesh, a), control_load_matrix(basis, sys, mesh) @ a, rtol=0, atol=1e-15
+        )
 
     def test_single_triangle_against_quadrature(self):
         # 1-cell control grid on a 1-cell mesh; oracle: midpoint quadrature,

@@ -4,12 +4,124 @@ import numpy as np
 import pytest
 
 from nullsrc import DomainSpec, InvalidSpec, Shape, build_mesh, export_text, refine_uniform
-from nullsrc.mesh import triangle_areas
+from nullsrc.mesh import Mesh, _boundary_structure, triangle_areas
 
 
 def boundary_length(mesh):
     segs = mesh.nodes[mesh.boundary_edges[:, 0]] - mesh.nodes[mesh.boundary_edges[:, 1]]
     return np.linalg.norm(segs, axis=1).sum()
+
+
+# Loop reference implementations: they pin the node, triangle and boundary
+# order that the array code must reproduce exactly.
+
+
+def reference_boundary_structure(triangles):
+    counts, oriented = {}, {}
+    for a, b, c in triangles:
+        for u, v in ((a, b), (b, c), (c, a)):
+            key = (min(u, v), max(u, v))
+            counts[key] = counts.get(key, 0) + 1
+            oriented[key] = (u, v)
+    if any(n > 2 for n in counts.values()):
+        raise InvalidSpec("non-manifold edge: more than two incident triangles")
+    bedges = [oriented[k] for k, n in counts.items() if n == 1]
+    bedges_arr = np.array(sorted(bedges), dtype=np.int64).reshape(-1, 2)
+    return bedges_arr, np.unique(bedges_arr)
+
+
+def reference_build_mesh(spec):
+    nx, ny = spec.nx, spec.ny
+    hx, hy = 1.0 / nx, 1.0 / ny
+    lshape = spec.shape is Shape.L_SHAPE
+    index = -np.ones((ny + 1, nx + 1), dtype=np.int64)
+    nodes = []
+    for j in range(ny + 1):
+        for i in range(nx + 1):
+            if not (lshape and j > ny // 2 and i > nx // 2):
+                index[j, i] = len(nodes)
+                nodes.append((i * hx, j * hy))
+    triangles = []
+    for j in range(ny):
+        for i in range(nx):
+            if lshape and j >= ny // 2 and i >= nx // 2:
+                continue
+            n00, n10 = index[j, i], index[j, i + 1]
+            n01, n11 = index[j + 1, i], index[j + 1, i + 1]
+            triangles.append((n00, n10, n11))
+            triangles.append((n00, n11, n01))
+    tri_arr = np.array(triangles, dtype=np.int64)
+    return Mesh(np.array(nodes, dtype=np.float64), tri_arr, *reference_boundary_structure(tri_arr))
+
+
+def reference_refine_uniform(mesh):
+    n_coarse = mesh.n_nodes
+    edges = set()
+    for a, b, c in mesh.triangles:
+        for u, v in ((a, b), (b, c), (c, a)):
+            edges.add((min(u, v), max(u, v)))
+    edge_list = sorted(edges)
+    midpoint = {e: n_coarse + i for i, e in enumerate(edge_list)}
+    fine_nodes = np.vstack(
+        [mesh.nodes] + [0.5 * (mesh.nodes[[u]] + mesh.nodes[[v]]) for u, v in edge_list]
+    )
+    fine_tris = []
+    for a, b, c in mesh.triangles:
+        mab = midpoint[(min(a, b), max(a, b))]
+        mbc = midpoint[(min(b, c), max(b, c))]
+        mca = midpoint[(min(c, a), max(c, a))]
+        fine_tris.extend([(a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca)])
+    tri_arr = np.array(fine_tris, dtype=np.int64)
+    fine = Mesh(fine_nodes, tri_arr, *reference_boundary_structure(tri_arr))
+    return fine, np.arange(n_coarse, dtype=np.int64)
+
+
+def assert_identical(actual, expected):
+    assert actual.dtype == expected.dtype
+    assert np.array_equal(actual, expected)
+
+
+def assert_same_mesh(mesh, ref):
+    for name in ("nodes", "triangles", "boundary_edges", "boundary_nodes"):
+        assert_identical(getattr(mesh, name), getattr(ref, name))
+
+
+ORACLE_SPECS = [
+    DomainSpec(Shape.UNIT_SQUARE, 1, 1),
+    DomainSpec(Shape.UNIT_SQUARE, 3, 5),
+    DomainSpec(Shape.UNIT_SQUARE, 32, 32),
+    DomainSpec(Shape.L_SHAPE, 2, 2),
+    DomainSpec(Shape.L_SHAPE, 8, 8),
+    DomainSpec(Shape.L_SHAPE, 32, 32),
+]
+SPEC_IDS = [f"{s.shape.value}-{s.nx}x{s.ny}" for s in ORACLE_SPECS]
+
+
+class TestMatchesLoopReference:
+    @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=SPEC_IDS)
+    def test_build_mesh(self, spec):
+        assert_same_mesh(build_mesh(spec), reference_build_mesh(spec))
+
+    @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=SPEC_IDS)
+    def test_refine_once(self, spec):
+        coarse = build_mesh(spec)
+        fine, injection = refine_uniform(coarse)
+        ref_fine, ref_injection = reference_refine_uniform(coarse)
+        assert_same_mesh(fine, ref_fine)
+        assert_identical(injection, ref_injection)
+
+    def test_refine_twice(self):
+        once, _ = refine_uniform(build_mesh(DomainSpec(Shape.L_SHAPE, 8, 8)))
+        twice, injection = refine_uniform(once)
+        ref_twice, ref_injection = reference_refine_uniform(once)
+        assert_same_mesh(twice, ref_twice)
+        assert_identical(injection, ref_injection)
+
+    def test_non_manifold_edge_raises(self):
+        # three triangles share the edge (0, 1)
+        triangles = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]], dtype=np.int64)
+        with pytest.raises(InvalidSpec, match="non-manifold"):
+            _boundary_structure(triangles)
 
 
 class TestBuildMesh:
