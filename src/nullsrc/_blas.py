@@ -1,0 +1,56 @@
+"""Run a block of work with every bundled OpenBLAS pool at one thread.
+
+The numpy and scipy wheels each ship their own OpenBLAS with its own
+thread pool. The pipeline's dense kernels are small (SVDs of at most
+128 x 256, a few hundred right-hand sides), so they gain nothing from
+threads, while idle workers of one pool keep the CPU busy and slow the
+other pool and the main thread.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
+from pathlib import Path
+
+import numpy
+import scipy
+
+_SYMBOLS = (  # (getter, setter) as exported by the wheels' and by plain OpenBLAS
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def pools() -> tuple[tuple[Callable[[], int], Callable[[int], None]], ...]:
+    """(get, set) thread-count functions of each OpenBLAS in numpy.libs/scipy.libs."""
+    found = []
+    for package in (numpy, scipy):
+        libs = Path(package.__file__).parent.parent / f"{package.__name__}.libs"
+        for path in sorted(libs.glob("*openblas*")):
+            lib = ctypes.CDLL(str(path))
+            for get_name, set_name in _SYMBOLS:
+                if hasattr(lib, get_name) and hasattr(lib, set_name):
+                    get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    found.append((get, set_))
+                    break
+    return tuple(found)
+
+
+@contextmanager
+def single_thread() -> Iterator[None]:
+    """Set every pool to 1 thread, restoring each pool's own count on exit."""
+    previous = [(set_, get()) for get, set_ in pools()]
+    try:
+        for set_, _ in previous:
+            set_(1)
+        yield
+    finally:
+        for set_, count in previous:
+            set_(count)

@@ -2,7 +2,10 @@
 
 Exit codes: 0 success, 1 solver failure, 2 usage or configuration error
 (any InvalidSpec, which includes ConfigError, IncompatibleGrids and
-NonPositiveCoefficient).
+NonPositiveCoefficient, or a problem too large for available memory).
+
+Commands run with numpy's and scipy's OpenBLAS pools at one thread each
+(see _blas); library callers keep their own thread settings.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ import argparse
 import json
 import sys
 
+from ._blas import single_thread
 from .errors import ConfigError, InvalidSpec, NullsrcError
 from .experiments import (
     apply_overrides,
@@ -137,9 +141,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse uses 2 for usage errors already
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        with single_thread():
+            return args.func(args)
     except InvalidSpec as exc:  # configuration problems
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except MemoryError as exc:  # e.g. a mesh size no machine can hold
+        print(f"error: problem too large for available memory ({exc})", file=sys.stderr)
         return USAGE_ERROR
     except NullsrcError as exc:
         print(f"solver error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -135,6 +135,7 @@ class ExperimentResult:
     rank: int = 0
     s_max: float = 0.0
     s_min: float = 0.0
+    s_min_retained: float = 0.0  # smallest singular value above the rank cut
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
@@ -305,6 +306,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         rank=sd.rank,
         s_max=float(sd.s[0]),
         s_min=float(sd.s[-1]),
+        s_min_retained=float(sd.s[sd.rank - 1]) if sd.rank else 0.0,
     )
 
     for method in cfg.methods:
@@ -496,6 +498,7 @@ def export_result(result: ExperimentResult, out_dir: str | Path) -> Path:
         "rank": result.rank,
         "s_max": result.s_max,
         "s_min": result.s_min,
+        "s_min_retained": result.s_min_retained,
         "methods": methods_manifest,
     }
     try:

@@ -1,11 +1,17 @@
 """Command-line interface tests (direct main() invocations)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nullsrc.cli
+from nullsrc import ConfigError, SingularState, _blas
 from nullsrc.cli import main
-from nullsrc.experiments import builtin_presets, config_to_dict
+from nullsrc.experiments import builtin_presets, config_to_dict, export_result, run_experiment
 
 
 def test_preset_run_creates_outputs(tmp_path, capsys):
@@ -137,3 +143,96 @@ def test_bad_config_value_exits_2(tmp_path, capsys, preset, key, value, message)
     path.write_text(json.dumps(data))
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_huge_mesh_exits_2_without_traceback(tmp_path, capsys):
+    # the first mesh array of a 1e9 x 1e9 grid asks for ~1e18 bytes, so the
+    # allocation fails at once without touching memory
+    data = config_to_dict(builtin_presets()["ex1"])
+    data["domain"]["nx"] = data["domain"]["ny"] = 10**9
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "too large for available memory" in err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def _thread_counts():
+    return [get() for get, _ in _blas.pools()]
+
+
+@pytest.fixture
+def raised_pools():
+    """Every OpenBLAS pool at a distinct count above 1, restored afterwards."""
+    if not _blas.pools():
+        pytest.skip("no OpenBLAS pool found in numpy.libs or scipy.libs")
+    original = _thread_counts()
+    raised = [2 + i for i in range(len(original))]
+    for (_, set_), count in zip(_blas.pools(), raised):
+        set_(count)
+    try:
+        yield raised
+    finally:
+        for (_, set_), count in zip(_blas.pools(), original):
+            set_(count)
+
+
+@pytest.mark.parametrize(
+    "raised, code",
+    [(None, 0), (ConfigError("bad"), 2), (SingularState("singular"), 1)],
+    ids=["ok", "config-error", "singular-state"],
+)
+def test_commands_run_on_one_blas_thread(tmp_path, monkeypatch, raised_pools, raised, code):
+    seen = []
+
+    def fake_run_experiment(cfg):
+        seen.append(_thread_counts())
+        if raised is not None:
+            raise raised
+        return run_experiment(cfg)
+
+    monkeypatch.setattr(nullsrc.cli, "run_experiment", fake_run_experiment)
+    assert main(["preset", "ex1", "--out", str(tmp_path / "o")]) == code
+    assert seen == [[1] * len(raised_pools)]
+    assert _thread_counts() == raised_pools
+
+
+def test_import_leaves_blas_threads_alone():
+    # a fresh process reads the counts with _blas loaded on its own, then
+    # imports the package and reads them again
+    if not _blas.pools():
+        pytest.skip("no OpenBLAS pool found in numpy.libs or scipy.libs")
+    script = (
+        "import importlib.util, json\n"
+        f"spec = importlib.util.spec_from_file_location('probe', {_blas.__file__!r})\n"
+        "probe = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(probe)\n"
+        "before = [get() for get, _ in probe.pools()]\n"
+        "import nullsrc, nullsrc.cli\n"
+        "print(json.dumps([before, [get() for get, _ in probe.pools()]]))\n"
+    )
+    src = str(Path(nullsrc.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    before, after = json.loads(done.stdout)
+    assert before and after == before
+
+
+@pytest.mark.parametrize("preset", ["ex1", "ex5a"])
+def test_thread_cap_changes_no_output(tmp_path, preset):
+    # cli.main runs at one BLAS thread, the library call at the caller's count
+    assert main(["preset", preset, "--out", str(tmp_path / "cli")]) == 0
+    export_result(run_experiment(builtin_presets()[preset]), tmp_path / "lib")
+    names = sorted(p.name for p in (tmp_path / "cli").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "lib").iterdir())
+    for name in names:
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()

@@ -170,6 +170,20 @@ class TestRunExperiment:
         run_experiment(cfg)
         assert len(calls) == factors
 
+    def test_s_min_retained_is_last_value_above_rank_cut(self):
+        from nullsrc import analyze, build_forward_model
+        from nullsrc.experiments import build_setup
+
+        cfg = builtin_presets()["ex5a"]
+        res = run_experiment(cfg)
+        setup = build_setup(cfg)
+        fm = build_forward_model(setup.sys_inv, setup.basis_inv, setup.mesh_inv)
+        sd = analyze(fm, cfg.rank_tol)
+        assert sd.rank < sd.s.size  # the cut falls inside the spectrum
+        assert res.s_min_retained == sd.s[sd.rank - 1]
+        assert res.s_min_retained >= cfg.rank_tol * res.s_max
+        assert res.s_min < cfg.rank_tol * res.s_max
+
 
 class TestPresets:
     def test_names(self):
@@ -275,6 +289,7 @@ class TestExport:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["rank"] == res.rank
         assert manifest["w_min"] == res.w_min
+        assert manifest["s_min_retained"] == res.s_min_retained
         assert set(manifest["methods"]) == {"standard_tikhonov", "method_i"}
         entry = manifest["methods"]["method_i"]
         for key in (
