@@ -232,11 +232,12 @@ def add_noise(d: np.ndarray, kappa: float, seed: int) -> tuple[np.ndarray, float
     d = np.asarray(d, dtype=np.float64)
     if kappa < 0:
         raise ConfigError(f"kappa must be nonnegative, got {kappa!r}")
-    delta = float(kappa * (d.max() - d.min())) if d.size else 0.0
-    if kappa == 0.0 or delta == 0.0:
-        return d.copy(), 0.0
-    rho = np.random.default_rng(seed).standard_normal(d.shape[0])
-    return d + delta * rho, delta
+    with np.errstate(over="ignore"):  # an overflow shows as a non-finite gamma
+        delta = float(kappa * (d.max() - d.min())) if d.size else 0.0
+        if kappa == 0.0 or delta == 0.0:
+            return d.copy(), 0.0
+        rho = np.random.default_rng(seed).standard_normal(d.shape[0])
+        return d + delta * rho, delta
 
 
 def _synthesize(cfg: ExperimentConfig, setup: Setup) -> tuple[np.ndarray, np.ndarray, float, float]:
@@ -245,7 +246,8 @@ def _synthesize(cfg: ExperimentConfig, setup: Setup) -> tuple[np.ndarray, np.nda
     u = setup.sys_fwd.solver.solve(source_load(setup.basis_fwd, setup.mesh_fwd, a))
     d = trace(setup.sys_fwd, u)[setup.restrict_idx]
     d_noisy, delta = add_noise(d, cfg.noise_kappa, cfg.seed)
-    gamma = float(np.linalg.norm(setup.sys_inv.R @ (d_noisy - d)))
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports overflow
+        gamma = float(np.linalg.norm(setup.sys_inv.R @ (d_noisy - d)))
     if not math.isfinite(gamma):
         raise ConfigError(
             f"noise level kappa={cfg.noise_kappa!r} gives a non-finite noise norm gamma"

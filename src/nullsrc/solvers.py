@@ -53,23 +53,38 @@ def _argmax_tieset(coeffs: np.ndarray, tol: float = ARGMAX_TIE_TOL) -> tuple[int
     return ties[0], tuple(ties)
 
 
+def _gains(s: np.ndarray, alpha: float, rank: int | None = None) -> np.ndarray:
+    """Filter factors s/(s^2+alpha); alpha = 0 inverts the leading `rank` s only."""
+    if alpha > 0:
+        return s / (s**2 + alpha)
+    f = np.zeros_like(s)
+    f[:rank] = 1.0 / s[:rank]
+    return f
+
+
+def _residual(c: np.ndarray, s: np.ndarray, alpha: float, floor: float, rank: int | None = None) -> float:
+    """|M x - b| of the filtered solution, from c = U^T b and floor = |b - U c|.
+
+    g is the share of each c_i left unfitted (all of it past the rank cut
+    at alpha = 0), so the residual needs no product M x.
+    """
+    if alpha > 0:
+        g = alpha / (s**2 + alpha)
+    else:
+        g = np.ones_like(s)
+        g[:rank] = 0.0
+    return math.hypot(np.linalg.norm(g * c), floor)
+
+
 def _filter(svd: Svd, b: np.ndarray, alpha: float, rank: int | None = None) -> tuple[np.ndarray, float]:
     """Minimizer of |M x - b|^2 + alpha |x|^2 for M = U diag(s) V^T, and |M x - b|.
 
-    x = V diag(f) U^T b with f = s/(s^2+alpha); alpha = 0 is the
-    pseudo-inverse over the leading `rank` triplets. g is the share of
-    c = U^T b left unfitted, so the residual needs no product M x.
+    x = V diag(f) U^T b; alpha = 0 is the pseudo-inverse over the leading
+    `rank` triplets.
     """
     U, s, V = svd
     c = U.T @ b
-    if alpha > 0:
-        denom = s**2 + alpha
-        f, g = s / denom, alpha / denom
-    else:
-        f, g = np.zeros_like(s), np.ones_like(s)
-        f[:rank], g[:rank] = 1.0 / s[:rank], 0.0
-    residual = math.hypot(np.linalg.norm(g * c), np.linalg.norm(b - U @ c))
-    return V @ (f * c), residual
+    return V @ (_gains(s, alpha, rank) * c), _residual(c, s, alpha, np.linalg.norm(b - U @ c), rank)
 
 
 def tikhonov(
@@ -94,30 +109,17 @@ def tikhonov(
 def min_norm_lsq(
     A_hat: np.ndarray, b_hat: np.ndarray, rank_tol_rel: float = RANK_TOL_REL
 ) -> np.ndarray:
-    """Minimum-norm least-squares solution via the truncated-SVD pseudo-inverse."""
+    """Minimum-norm least-squares solution via the truncated-SVD pseudo-inverse;
+    one SVD serves every column of a 2-D b_hat."""
     U, s, V = thin_svd(np.asarray(A_hat, dtype=np.float64))
     r = int(np.sum(s > rank_tol_rel * s[0])) if s.size and s[0] > 0 else 0
-    return _filter((U, s, V), np.asarray(b_hat, dtype=np.float64), 0.0, r)[0]
+    c = U.T @ np.asarray(b_hat, dtype=np.float64)
+    return V @ (_gains(s, 0.0, r) * c.T).T  # c.T: the gains scale the rows of a 2-D c
 
 
-def residual_from_coeffs(
-    A_hat: np.ndarray,
-    sd: SpectralData,
-    method: Method,
-    coeffs: np.ndarray,
-    b_hat: np.ndarray,
-) -> float:
-    """Data-fit residual of a method's optimization problem, from its coeffs."""
-    w = sd.p_norms
-    if method is Method.METHOD_I:
-        fit = A_hat @ (coeffs * w)  # optimization variable is W * coeffs
-    elif method is Method.METHOD_II:
-        fit = A_hat @ (coeffs / w)  # operator acts through W^{-1}
-    elif method is Method.METHOD_III:
-        fit = A_hat @ coeffs  # same optimum as Method II, z = W^{-1} y
-    else:
-        fit = A_hat @ coeffs
-    return float(np.linalg.norm(fit - b_hat))
+def _operator_svd(sd: SpectralData, method: Method) -> Svd:
+    """Stored SVD of the operator a method inverts: A_hat W^{-1} for II and III."""
+    return sd.weighted_svd if method in (Method.METHOD_II, Method.METHOD_III) else (sd.U, sd.s, sd.V)
 
 
 def solve_method(
@@ -128,8 +130,7 @@ def solve_method(
         alpha = 0.0
     elif not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha!r}")
-    svd = sd.weighted_svd if method in (Method.METHOD_II, Method.METHOD_III) else (sd.U, sd.s, sd.V)
-    x, residual = _filter(svd, np.asarray(b_hat, dtype=np.float64), alpha, sd.rank)
+    x, residual = _filter(_operator_svd(sd, method), np.asarray(b_hat, dtype=np.float64), alpha, sd.rank)
     if method in (Method.METHOD_I, Method.METHOD_III):
         x = x / sd.p_norms
     cell, ties = _argmax_tieset(x)
@@ -180,9 +181,12 @@ def morozov(
 ) -> tuple[float, SolveResult]:
     """Pick alpha so the method's residual matches the noise norm gamma.
 
-    Bisects on log(alpha) using the monotonicity of the residual. Raises
-    GammaTooSmall / GammaTooLarge when gamma falls outside the residual
-    range attainable on alpha_range.
+    Bisects on log(alpha) using the monotonicity of the residual. The
+    search runs on the stored coefficients c = U^T b of the method's
+    operator, where each residual is a scalar, and makes one final
+    solve_method call at the chosen alpha. Raises GammaTooSmall /
+    GammaTooLarge when gamma falls outside the residual range attainable
+    on alpha_range.
     """
     if gamma <= 0:
         raise GammaTooSmall(f"discrepancy target must be positive, got {gamma!r}")
@@ -191,37 +195,38 @@ def morozov(
     lo, hi = alpha_range
     if not (0 < lo < hi):
         raise ValueError(f"invalid alpha range {alpha_range!r}")
+    U, s, _ = _operator_svd(sd, method)
+    b = np.asarray(b_hat, dtype=np.float64)
+    c = U.T @ b
+    floor = np.linalg.norm(b - U @ c)
+    if not math.isfinite(floor):
+        raise IllConditioned("discrepancy data are not all finite")
 
-    def res_at(alpha: float) -> SolveResult:
-        return solve_method(model, sd, b_hat, alpha, method)
+    def met(residual: float) -> bool:
+        return abs(residual - gamma) <= rel_tol * gamma
 
-    r_lo = res_at(lo)
-    if abs(r_lo.residual - gamma) <= rel_tol * gamma:
-        return lo, r_lo
-    if r_lo.residual > gamma:
-        raise GammaTooSmall(
-            f"gamma={gamma!r} below the minimal attainable residual {r_lo.residual!r}"
-        )
-    r_hi = res_at(hi)
-    if abs(r_hi.residual - gamma) <= rel_tol * gamma:
-        return hi, r_hi
-    if r_hi.residual < gamma:
-        raise GammaTooLarge(
-            f"gamma={gamma!r} above the largest attainable residual {r_hi.residual!r}"
-        )
+    def solved(alpha: float) -> tuple[float, SolveResult]:
+        return alpha, solve_method(model, sd, b_hat, alpha, method)
+
+    r_lo = _residual(c, s, lo, floor)
+    if met(r_lo):
+        return solved(lo)
+    if r_lo > gamma:
+        raise GammaTooSmall(f"gamma={gamma!r} below the minimal attainable residual {r_lo!r}")
+    r_hi = _residual(c, s, hi, floor)
+    if met(r_hi):
+        return solved(hi)
+    if r_hi < gamma:
+        raise GammaTooLarge(f"gamma={gamma!r} above the largest attainable residual {r_hi!r}")
 
     llo, lhi = math.log(lo), math.log(hi)
-    best = None
     for _ in range(200):
         mid = math.exp(0.5 * (llo + lhi))
-        r_mid = res_at(mid)
-        if abs(r_mid.residual - gamma) <= rel_tol * gamma:
-            best = (mid, r_mid)
-            break
-        if r_mid.residual < gamma:
+        r_mid = _residual(c, s, mid, floor)
+        if met(r_mid):
+            return solved(mid)
+        if r_mid < gamma:
             llo = math.log(mid)
         else:
             lhi = math.log(mid)
-    if best is None:
-        raise IllConditioned("discrepancy bisection failed to converge")
-    return best
+    raise IllConditioned("discrepancy bisection failed to converge")

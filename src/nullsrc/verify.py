@@ -108,17 +108,14 @@ def expansion_deviation(fm: ForwardModel, sd: SpectralData, alpha: float | None)
     alpha over the squared smallest retained singular value from the
     limit, so only the same-alpha form can be held to a tight tolerance.
     """
-    n = fm.A_hat.shape[1]
-    w = sd.p_norms
+    A, w = fm.A_hat, sd.p_norms
+    if alpha is None:
+        coeffs = min_norm_lsq(A, A) / w[:, None]  # column j solves data A e_j
+        return float(np.max(np.abs(coeffs - sd.project(np.eye(A.shape[1])) / w[:, None])))
     worst = 0.0
-    for j in range(n):
-        b = fm.A_hat[:, j]
-        if alpha is None:
-            coeffs = min_norm_lsq(fm.A_hat, b) / w
-            expansion = sd.project(np.eye(n)[j]) / w
-        else:
-            coeffs = method_I(fm, sd, b, alpha).coeffs
-            expansion = (sd.V * (sd.s**2 / (sd.s**2 + alpha))) @ sd.V[j, :] / w
+    for j in range(A.shape[1]):
+        coeffs = method_I(fm, sd, A[:, j], alpha).coeffs
+        expansion = (sd.V * (sd.s**2 / (sd.s**2 + alpha))) @ sd.V[j, :] / w
         worst = max(worst, float(np.max(np.abs(coeffs - expansion))))
     return worst
 
@@ -136,26 +133,23 @@ def check_expansion_identity(
     )
 
 
+def norm_inequality_violations(fm: ForwardModel, sd: SpectralData) -> tuple[float, float]:
+    """Largest excess of the method II and method III norms over their method I
+    bounds, over every e_j, in the alpha -> 0 limits; at most 0 when they hold."""
+    A, w = fm.A_hat, sd.p_norms
+    E = np.eye(A.shape[1])
+    # column j of each pseudo-inverse product solves data A e_j
+    X, Y = min_norm_lsq(A, A), min_norm_lsq(A / w[None, :], A)
+    rhs = np.linalg.norm(E - X / w[:, None], axis=0)
+    worst2 = np.max(np.linalg.norm(E - Y / w[None, :], axis=0) - rhs)
+    worst3 = np.max(np.linalg.norm(E - Y / w[:, None], axis=0) - (w / w.min()) * rhs)
+    return float(worst2), float(worst3)
+
+
 def check_norm_inequalities(fm: ForwardModel, sd: SpectralData) -> CheckResult:
     """Scaled method II beats method I in norm; method III within the
     weight-ratio factor of method I (alpha -> 0 limits, every index)."""
-    A = fm.A_hat
-    n = A.shape[1]
-    w = sd.p_norms
-    Aw = A / w[None, :]
-    wmin = w.min()
-    worst2 = worst3 = -np.inf
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        b = A[:, j]
-        xstar = min_norm_lsq(A, b)
-        ystar = min_norm_lsq(Aw, b)
-        rhs = float(np.linalg.norm(e - xstar / w))
-        worst2 = max(worst2, float(np.linalg.norm(e - ystar / w[j])) - rhs)
-        worst3 = max(
-            worst3, float(np.linalg.norm(e - ystar / w)) - (w[j] / wmin) * rhs
-        )
+    worst2, worst3 = norm_inequality_violations(fm, sd)
     passed = worst2 <= INEQUALITY_SLACK and worst3 <= INEQUALITY_SLACK
     return CheckResult(
         "method II / method III norm inequalities",

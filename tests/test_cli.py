@@ -96,6 +96,23 @@ def test_huge_noise_level_exits_2_without_manifest(tmp_path, capsys):
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("kappa", ["1e160", "1e300"])
+def test_huge_noise_level_prints_only_the_error_line(tmp_path, kappa):
+    # a fresh interpreter, so numpy's RuntimeWarnings would reach stderr
+    src = str(Path(nullsrc.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "nullsrc.cli", "preset", "ex1", "--out", str(tmp_path / "o"),
+         "--override", f"kappa={kappa}"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 2
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "gamma" in lines[0]
+
+
 @pytest.mark.parametrize(
     "override, message",
     [

@@ -118,6 +118,14 @@ class TestAddNoise:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("span, kappa", [(1e10, 1e300), (1.0, 1e308)])
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_is_silent(self, span, kappa):
+        # delta, or the noise itself, overflows to inf without a numpy
+        # warning; the caller's finiteness check on gamma reports it
+        d_noisy, _ = add_noise(np.array([0.0, span]), kappa, 3)
+        assert not np.isfinite(d_noisy).all()
+
 
 class TestRunExperiment:
     def test_inverse_crime_truth_passthrough(self):
