@@ -9,7 +9,6 @@ reproduces the reference numerical studies.
 from .control_space import (
     ControlBasis,
     build_control_basis,
-    cell_field_to_coefficients,
     coefficients_to_cell_field,
     control_load_matrix,
     project_cell_function,
@@ -27,27 +26,20 @@ from .errors import (
     NullsrcError,
     SingularState,
 )
-from .fem import CoefficientField, FemSystem, StateSolver, assemble, solve_state, trace
-from .mesh import DomainSpec, Mesh, Shape, build_mesh, export_text, refine_uniform
+from .fem import CoefficientField, FemSystem, StateSolver, assemble
+from .mesh import DomainSpec, Mesh, Shape, build_mesh, refine_uniform
 from .solvers import (
     Method,
     SolveResult,
-    method_I,
-    method_II,
-    method_III,
     min_norm_lsq,
-    min_norm_solve,
     morozov,
     solve_method,
-    standard_tikhonov,
     tikhonov,
 )
 from .spectral import (
     ForwardModel,
     SpectralData,
     analyze,
-    apply_W,
-    apply_W_inv,
     build_forward_model,
     optimal_scalar_weight,
     spectral_data_from_matrix,

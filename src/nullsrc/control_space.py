@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IncompatibleGrids, LengthMismatch
-from .fem import FemSystem
 from .mesh import Mesh, triangle_areas
 
 _GEOM_TOL = 1e-12
@@ -108,16 +107,15 @@ def build_control_basis(mesh: Mesh, mx: int, my: int) -> ControlBasis:
     )
 
 
-def control_load_matrix(basis: ControlBasis, sys: FemSystem, mesh: Mesh) -> np.ndarray:
+def control_load_matrix(basis: ControlBasis, mesh: Mesh) -> np.ndarray:
     """Load matrix M_cf with column i the P1 load vector of phi_i.
 
     Column entries are integral(phi_i * lambda_k); phi_i is constant on
     each triangle, so every triangle in cell i contributes
     scale_i * area_T / 3 to each of its three vertices (exact).
     """
-    n_nodes = sys.n_nodes
     tri_area = triangle_areas(mesh)
-    M_cf = np.zeros((n_nodes, basis.n))
+    M_cf = np.zeros((mesh.n_nodes, basis.n))
     contrib = basis.scale[basis.triangle_cells] * tri_area / 3.0
     for k in range(3):
         np.add.at(M_cf, (mesh.triangles[:, k], basis.triangle_cells), contrib)
@@ -140,14 +138,6 @@ def coefficients_to_cell_field(basis: ControlBasis, coeffs: np.ndarray) -> np.nd
     if coeffs.shape != (basis.n,):
         raise LengthMismatch(f"expected {basis.n} coefficients, got {coeffs.shape}")
     return coeffs * basis.scale
-
-
-def cell_field_to_coefficients(basis: ControlBasis, values: np.ndarray) -> np.ndarray:
-    """Inverse of coefficients_to_cell_field."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape != (basis.n,):
-        raise LengthMismatch(f"expected {basis.n} cell values, got {values.shape}")
-    return values / basis.scale
 
 
 def project_cell_function(

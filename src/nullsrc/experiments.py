@@ -24,9 +24,16 @@ from .control_space import (
     source_load,
 )
 from .errors import ConfigError, NullsrcError
-from .fem import CoefficientField, FemSystem, assemble, trace
+from .fem import CoefficientField, FemSystem, assemble
 from .mesh import DomainSpec, Mesh, Shape, build_mesh, refine_uniform
-from .solvers import Method, SolveResult, morozov, solve_method
+from .solvers import (
+    MOROZOV_ALPHA_RANGE,
+    MOROZOV_REL_TOL,
+    Method,
+    SolveResult,
+    morozov,
+    solve_method,
+)
 from .spectral import RANK_TOL_REL, analyze, build_forward_model
 
 _METHOD_ALIASES = {
@@ -83,9 +90,9 @@ BUILTIN_TENSOR = SigmaSpec(kind="affine", kappa1=(1.0, 0.5, 0.0), kappa2=(1.0, 0
 
 @dataclass(frozen=True)
 class MorozovRule:
-    alpha_min: float = 1e-14
-    alpha_max: float = 1e6
-    rel_tol: float = 1e-3
+    alpha_min: float = MOROZOV_ALPHA_RANGE[0]
+    alpha_max: float = MOROZOV_ALPHA_RANGE[1]
+    rel_tol: float = MOROZOV_REL_TOL
 
 
 @dataclass(frozen=True)
@@ -240,11 +247,18 @@ def add_noise(d: np.ndarray, kappa: float, seed: int) -> tuple[np.ndarray, float
         return d + delta * rho, delta
 
 
-def _synthesize(cfg: ExperimentConfig, setup: Setup) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """Clean data, noisy data, delta and the realized discrepancy gamma."""
+def _synthesize(
+    cfg: ExperimentConfig, setup: Setup
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
+    """True forward coefficients, clean data, noisy data, delta and the
+    realized discrepancy gamma."""
     a = _true_coefficients(cfg, setup.basis_fwd)
-    u = setup.sys_fwd.solver.solve(source_load(setup.basis_fwd, setup.mesh_fwd, a))
-    d = trace(setup.sys_fwd, u)[setup.restrict_idx]
+    with np.errstate(over="ignore"):  # the check below reports overflow
+        load = source_load(setup.basis_fwd, setup.mesh_fwd, a)
+    d = setup.sys_fwd.solver.solve(load)[setup.sys_fwd.trace_map][setup.restrict_idx]
+    if not np.isfinite(d).all():
+        amplitudes = [amplitude for _, amplitude in cfg.true_source]
+        raise ConfigError(f"true-source amplitudes {amplitudes!r} give non-finite boundary data")
     d_noisy, delta = add_noise(d, cfg.noise_kappa, cfg.seed)
     with np.errstate(over="ignore", invalid="ignore"):  # the check below reports overflow
         gamma = float(np.linalg.norm(setup.sys_inv.R @ (d_noisy - d)))
@@ -252,13 +266,13 @@ def _synthesize(cfg: ExperimentConfig, setup: Setup) -> tuple[np.ndarray, np.nda
         raise ConfigError(
             f"noise level kappa={cfg.noise_kappa!r} gives a non-finite noise norm gamma"
         )
-    return d, d_noisy, delta, gamma
+    return a, d, d_noisy, delta, gamma
 
 
 def generate_data(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, float]:
     """Synthetic boundary data on the inversion mesh: (d, d_noisy, gamma)."""
     setup = build_setup(cfg)
-    d, d_noisy, _, gamma = _synthesize(cfg, setup)
+    _, d, d_noisy, _, gamma = _synthesize(cfg, setup)
     return d, d_noisy, gamma
 
 
@@ -282,13 +296,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     aborting the remaining methods; setup-level failures propagate.
     """
     setup = build_setup(cfg)
-    d, d_noisy, delta, gamma = _synthesize(cfg, setup)
+    a_fwd, d, d_noisy, delta, gamma = _synthesize(cfg, setup)
 
     fm = build_forward_model(setup.sys_inv, setup.basis_inv, setup.mesh_inv)
     sd = analyze(fm, cfg.rank_tol)
     b_hat = fm.R @ d_noisy
 
-    a_fwd = _true_coefficients(cfg, setup.basis_fwd)
     truth_coeffs = project_cell_function(setup.basis_fwd, a_fwd, setup.basis_inv)
     truth_values = coefficients_to_cell_field(setup.basis_inv, truth_coeffs)
 
@@ -311,30 +324,32 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         s_min_retained=float(sd.s[sd.rank - 1]) if sd.rank else 0.0,
     )
 
-    for method in cfg.methods:
-        outcome = MethodOutcome(method=method)
-        try:
-            if isinstance(cfg.alpha, MorozovRule):
-                _, solved = morozov(
-                    fm,
-                    sd,
-                    b_hat,
-                    gamma,
-                    method,
-                    alpha_range=(cfg.alpha.alpha_min, cfg.alpha.alpha_max),
-                    rel_tol=cfg.alpha.rel_tol,
+    # an overflowing residual or error norm is left as inf, which export refuses
+    with np.errstate(over="ignore"):
+        for method in cfg.methods:
+            outcome = MethodOutcome(method=method)
+            try:
+                if isinstance(cfg.alpha, MorozovRule):
+                    _, solved = morozov(
+                        fm,
+                        sd,
+                        b_hat,
+                        gamma,
+                        method,
+                        alpha_range=(cfg.alpha.alpha_min, cfg.alpha.alpha_max),
+                        rel_tol=cfg.alpha.rel_tol,
+                    )
+                else:
+                    solved = solve_method(fm, sd, b_hat, cfg.alpha, method)
+                outcome.result = solved
+                outcome.values = coefficients_to_cell_field(setup.basis_inv, solved.coeffs)
+                outcome.l2_error = float(np.linalg.norm(solved.coeffs - truth_coeffs))
+                outcome.argmax_chebyshev = _chebyshev_to_truth(
+                    setup.basis_inv, solved.argmax_cell, truth_values
                 )
-            else:
-                solved = solve_method(fm, sd, b_hat, cfg.alpha, method)
-            outcome.result = solved
-            outcome.values = coefficients_to_cell_field(setup.basis_inv, solved.coeffs)
-            outcome.l2_error = float(np.linalg.norm(solved.coeffs - truth_coeffs))
-            outcome.argmax_chebyshev = _chebyshev_to_truth(
-                setup.basis_inv, solved.argmax_cell, truth_values
-            )
-        except NullsrcError as exc:
-            outcome.error = f"{type(exc).__name__}: {exc}"
-        result.outcomes[method.value] = outcome
+            except NullsrcError as exc:
+                outcome.error = f"{type(exc).__name__}: {exc}"
+            result.outcomes[method.value] = outcome
     return result
 
 
@@ -384,6 +399,16 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     }
 
 
+def _floats(values) -> tuple[float, ...]:
+    return tuple(float(v) for v in values)
+
+
+def _given(raw: dict, **convert) -> dict:
+    """The entries of raw named in convert, each converted by its function;
+    absent keys are left out so the dataclass defaults apply."""
+    return {key: f(raw[key]) for key, f in convert.items() if key in raw.keys()}
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
     try:
         dom = data["domain"]
@@ -393,9 +418,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             if alpha_raw.get("rule") != "morozov":
                 raise ConfigError(f"unknown alpha rule {alpha_raw!r}")
             alpha: float | MorozovRule = MorozovRule(
-                alpha_min=float(alpha_raw.get("alpha_min", 1e-14)),
-                alpha_max=float(alpha_raw.get("alpha_max", 1e6)),
-                rel_tol=float(alpha_raw.get("rel_tol", 1e-3)),
+                **_given(alpha_raw, alpha_min=float, alpha_max=float, rel_tol=float)
             )
         elif isinstance(alpha_raw, str):
             if alpha_raw.lower() != "morozov":
@@ -403,12 +426,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             alpha = MorozovRule()
         else:
             alpha = float(alpha_raw)
-        sigma_raw = data.get("sigma", {"kind": "identity"})
-        sigma = SigmaSpec(
-            kind=sigma_raw.get("kind", "identity"),
-            kappa1=tuple(float(v) for v in sigma_raw.get("kappa1", (1.0, 0.0, 0.0))),
-            kappa2=tuple(float(v) for v in sigma_raw.get("kappa2", (1.0, 0.0, 0.0))),
-        )
+        sigma = SigmaSpec(**_given(data.get("sigma", {}), kind=str, kappa1=_floats, kappa2=_floats))
         return ExperimentConfig(
             name=str(data.get("name", "custom")),
             domain=DomainSpec(shape, int(dom["nx"]), int(dom["ny"])),
@@ -422,10 +440,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             ),
             methods=tuple(parse_method(m) for m in data["methods"]),
             alpha=alpha,
-            noise_kappa=float(data.get("noise_kappa", 0.0)),
-            seed=int(data.get("seed", 0)),
-            inverse_crime=bool(data.get("inverse_crime", False)),
-            rank_tol=float(data.get("rank_tol", RANK_TOL_REL)),
+            **_given(data, noise_kappa=float, seed=int, inverse_crime=bool, rank_tol=float),
         )
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed experiment config: {exc}") from exc

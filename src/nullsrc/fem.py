@@ -10,7 +10,6 @@ factor is shared by every solve on that system.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 
 import numpy as np
@@ -23,31 +22,21 @@ from .mesh import Mesh, triangle_areas
 PIVOT_TOL = 1e-12
 
 
-class CoefficientKind(Enum):
-    IDENTITY = "identity"
-    DIAGONAL = "diagonal"
-
-
 @dataclass(frozen=True)
 class CoefficientField:
     """Diffusivity sigma = diag(kappa1, kappa2), constant per triangle."""
 
-    kind: CoefficientKind
     kappa1: np.ndarray
     kappa2: np.ndarray
 
     @classmethod
     def identity(cls, mesh: Mesh) -> "CoefficientField":
         ones = np.ones(mesh.n_triangles)
-        return cls(CoefficientKind.IDENTITY, ones, ones.copy())
+        return cls(ones, ones.copy())
 
     @classmethod
     def diagonal(cls, kappa1: np.ndarray, kappa2: np.ndarray) -> "CoefficientField":
-        return cls(
-            CoefficientKind.DIAGONAL,
-            np.asarray(kappa1, dtype=np.float64),
-            np.asarray(kappa2, dtype=np.float64),
-        )
+        return cls(np.asarray(kappa1, dtype=np.float64), np.asarray(kappa2, dtype=np.float64))
 
     @classmethod
     def from_functions(cls, mesh: Mesh, f1, f2) -> "CoefficientField":
@@ -175,16 +164,3 @@ class StateSolver:
     def solve(self, load: np.ndarray) -> np.ndarray:
         """Solve S*u = load for one vector or a matrix of stacked columns."""
         return self._lu.solve(np.asarray(load, dtype=np.float64))
-
-
-def solve_state(sys: FemSystem, load: np.ndarray) -> np.ndarray:
-    """One-shot state solve; factorizes and discards the factorization."""
-    load = np.asarray(load, dtype=np.float64)
-    if load.shape[0] != sys.n_nodes:
-        raise ValueError(f"load has length {load.shape[0]}, expected {sys.n_nodes}")
-    return StateSolver(sys).solve(load)
-
-
-def trace(sys: FemSystem, u: np.ndarray) -> np.ndarray:
-    """Restrict a nodal vector to the boundary nodes, in boundary order."""
-    return np.asarray(u)[sys.trace_map]

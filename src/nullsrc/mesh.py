@@ -166,13 +166,3 @@ def refine_uniform(mesh: Mesh) -> tuple[Mesh, np.ndarray]:
         boundary_nodes=bnodes,
     )
     return fine, np.arange(n_coarse, dtype=np.int64)
-
-
-def export_text(mesh: Mesh) -> str:
-    """Plain-text dump: nodes, blank line, triangles, blank line, boundary edges."""
-    lines = [f"{float(x)!r} {float(y)!r}" for x, y in mesh.nodes]
-    lines.append("")
-    lines.extend(f"{i} {j} {k}" for i, j, k in mesh.triangles)
-    lines.append("")
-    lines.extend(f"{i} {j}" for i, j in mesh.boundary_edges)
-    return "\n".join(lines) + "\n"

@@ -16,9 +16,11 @@ from enum import Enum
 import numpy as np
 
 from .errors import GammaTooLarge, GammaTooSmall, IllConditioned
-from .spectral import RANK_TOL_REL, ForwardModel, SpectralData, Svd, thin_svd
+from .spectral import RANK_TOL_REL, ForwardModel, SpectralData, Svd, numerical_rank, thin_svd
 
 ARGMAX_TIE_TOL = 1e-8
+MOROZOV_ALPHA_RANGE = (1e-14, 1e6)  # default discrepancy-search bracket
+MOROZOV_REL_TOL = 1e-3
 
 
 class Method(Enum):
@@ -112,9 +114,9 @@ def min_norm_lsq(
     """Minimum-norm least-squares solution via the truncated-SVD pseudo-inverse;
     one SVD serves every column of a 2-D b_hat."""
     U, s, V = thin_svd(np.asarray(A_hat, dtype=np.float64))
-    r = int(np.sum(s > rank_tol_rel * s[0])) if s.size and s[0] > 0 else 0
     c = U.T @ np.asarray(b_hat, dtype=np.float64)
-    return V @ (_gains(s, 0.0, r) * c.T).T  # c.T: the gains scale the rows of a 2-D c
+    gains = _gains(s, 0.0, numerical_rank(s, rank_tol_rel))
+    return V @ (gains * c.T).T  # c.T: the gains scale the rows of a 2-D c
 
 
 def _operator_svd(sd: SpectralData, method: Method) -> Svd:
@@ -137,47 +139,14 @@ def solve_method(
     return SolveResult(x, alpha, residual, method, cell, ties)
 
 
-def standard_tikhonov(
-    model: ForwardModel, sd: SpectralData, b_hat: np.ndarray, alpha: float
-) -> SolveResult:
-    """Unweighted Tikhonov solution."""
-    return solve_method(model, sd, b_hat, alpha, Method.STANDARD_TIKHONOV)
-
-
-def method_I(
-    model: ForwardModel, sd: SpectralData, b_hat: np.ndarray, alpha: float
-) -> SolveResult:
-    """Standard Tikhonov followed by the inverse weight scaling."""
-    return solve_method(model, sd, b_hat, alpha, Method.METHOD_I)
-
-
-def method_II(
-    model: ForwardModel, sd: SpectralData, b_hat: np.ndarray, alpha: float
-) -> SolveResult:
-    """Tikhonov for the rescaled operator A_hat W^{-1}."""
-    return solve_method(model, sd, b_hat, alpha, Method.METHOD_II)
-
-
-def method_III(
-    model: ForwardModel, sd: SpectralData, b_hat: np.ndarray, alpha: float
-) -> SolveResult:
-    """Tikhonov with the weighted penalty |W z|; equals W^{-1} of method II."""
-    return solve_method(model, sd, b_hat, alpha, Method.METHOD_III)
-
-
-def min_norm_solve(model: ForwardModel, sd: SpectralData, b_hat: np.ndarray) -> SolveResult:
-    """Pseudo-inverse solution computed from the stored SVD."""
-    return solve_method(model, sd, b_hat, 0.0, Method.MIN_NORM)
-
-
 def morozov(
     model: ForwardModel,
     sd: SpectralData,
     b_hat: np.ndarray,
     gamma: float,
     method: Method = Method.METHOD_II,
-    alpha_range: tuple[float, float] = (1e-14, 1e6),
-    rel_tol: float = 1e-3,
+    alpha_range: tuple[float, float] = MOROZOV_ALPHA_RANGE,
+    rel_tol: float = MOROZOV_REL_TOL,
 ) -> tuple[float, SolveResult]:
     """Pick alpha so the method's residual matches the noise norm gamma.
 

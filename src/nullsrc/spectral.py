@@ -75,7 +75,7 @@ def build_forward_model(sys: FemSystem, basis: ControlBasis, mesh: Mesh) -> Forw
     The factor and R are the ones cached on sys, so data synthesis on the
     same system reuses them instead of factoring again.
     """
-    M_cf = control_load_matrix(basis, sys, mesh)
+    M_cf = control_load_matrix(basis, mesh)
     A = sys.solver.solve(M_cf)[sys.trace_map, :]
     return ForwardModel(A=A, R=sys.R, A_hat=sys.R @ A)
 
@@ -89,6 +89,11 @@ def thin_svd(M: np.ndarray) -> Svd:
     return U, s, Vt.T
 
 
+def numerical_rank(s: np.ndarray, tol: float) -> int:
+    """Count of singular values (descending) above tol times the largest."""
+    return int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
+
+
 def spectral_data_from_matrix(A_hat: np.ndarray, rank_tol_rel: float = RANK_TOL_REL) -> SpectralData:
     """SVD analysis of an arbitrary whitened matrix.
 
@@ -100,15 +105,15 @@ def spectral_data_from_matrix(A_hat: np.ndarray, rank_tol_rel: float = RANK_TOL_
     A_hat = np.asarray(A_hat, dtype=np.float64)
     if not np.all(np.isfinite(A_hat)):
         raise ValueError("forward matrix contains non-finite entries")
-    U, s, Vt = np.linalg.svd(A_hat, full_matrices=False)
-    rank = int(np.sum(s > rank_tol_rel * s[0])) if s.size and s[0] > 0 else 0
-    p_norms = np.linalg.norm(Vt[:rank, :], axis=0)
+    U, s, V = thin_svd(A_hat)
+    rank = numerical_rank(s, rank_tol_rel)
+    p_norms = np.linalg.norm(V[:, :rank].T, axis=0)
     bad = np.flatnonzero(p_norms < DEGENERATE_TOL)
     if bad.size:
         i = int(bad[0])
         raise DegenerateBasis(i, float(p_norms[i]))
     return SpectralData(
-        U=U, s=s, V=Vt.T, rank=rank, p_norms=p_norms, rank_tol=rank_tol_rel,
+        U=U, s=s, V=V, rank=rank, p_norms=p_norms, rank_tol=rank_tol_rel,
         weighted_svd=thin_svd(A_hat / p_norms[None, :]),
     )
 
@@ -116,16 +121,6 @@ def spectral_data_from_matrix(A_hat: np.ndarray, rank_tol_rel: float = RANK_TOL_
 def analyze(fm: ForwardModel, rank_tol_rel: float = RANK_TOL_REL) -> SpectralData:
     """Spectral analysis of a forward model's whitened matrix."""
     return spectral_data_from_matrix(fm.A_hat, rank_tol_rel)
-
-
-def apply_W(sd: SpectralData, coeffs: np.ndarray) -> np.ndarray:
-    """Multiply coefficients by the diagonal weight operator."""
-    return np.asarray(coeffs, dtype=np.float64) * sd.p_norms
-
-
-def apply_W_inv(sd: SpectralData, coeffs: np.ndarray) -> np.ndarray:
-    """Divide coefficients by the diagonal weights (invertible by analyze)."""
-    return np.asarray(coeffs, dtype=np.float64) / sd.p_norms
 
 
 def optimal_scalar_weight(sd: SpectralData, i: int) -> float:

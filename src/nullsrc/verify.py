@@ -15,7 +15,7 @@ import numpy as np
 from .control_space import build_control_basis
 from .fem import assemble
 from .mesh import DomainSpec, Shape, build_mesh
-from .solvers import method_I, min_norm_lsq, tikhonov
+from .solvers import Method, min_norm_lsq, solve_method, tikhonov
 from .spectral import (
     ForwardModel,
     SpectralData,
@@ -25,7 +25,6 @@ from .spectral import (
     spectral_data_from_matrix,
 )
 
-ARGMAX_SLACK = 1e-8
 INEQUALITY_SLACK = 1e-10
 
 
@@ -86,8 +85,7 @@ def check_argmax_recovery(fm: ForwardModel, sd: SpectralData, alpha: float = 1e-
     n = fm.A_hat.shape[1]
     failures = []
     for j in range(n):
-        r = method_I(fm, sd, fm.A_hat[:, j], alpha)
-        if r.coeffs[j] < r.coeffs.max() - ARGMAX_SLACK:
+        if j not in solve_method(fm, sd, fm.A_hat[:, j], alpha, Method.METHOD_I).argmax_tieset:
             failures.append(j)
     return CheckResult(
         "method I attains its maximum at the correct index",
@@ -114,7 +112,7 @@ def expansion_deviation(fm: ForwardModel, sd: SpectralData, alpha: float | None)
         return float(np.max(np.abs(coeffs - sd.project(np.eye(A.shape[1])) / w[:, None])))
     worst = 0.0
     for j in range(A.shape[1]):
-        coeffs = method_I(fm, sd, A[:, j], alpha).coeffs
+        coeffs = solve_method(fm, sd, A[:, j], alpha, Method.METHOD_I).coeffs
         expansion = (sd.V * (sd.s**2 / (sd.s**2 + alpha))) @ sd.V[j, :] / w
         worst = max(worst, float(np.max(np.abs(coeffs - expansion))))
     return worst

@@ -27,7 +27,6 @@ from nullsrc import (
     build_control_basis,
     build_forward_model,
     build_mesh,
-    method_I,
     min_norm_lsq,
     morozov,
     optimal_scalar_weight,
@@ -43,9 +42,9 @@ from nullsrc.experiments import (
     run_experiment,
 )
 from nullsrc.fem import StateSolver
-from nullsrc.solvers import ARGMAX_TIE_TOL
 from nullsrc.spectral import ForwardModel
 from nullsrc.verify import (
+    check_argmax_recovery,
     check_method_iii_consistency,
     check_norm_inequalities,
     crime_system,
@@ -116,20 +115,15 @@ def test_criterion_02a_method1_matches_expansion(crime8):
 def test_criterion_02b_method1_argmax_membership(crime8):
     fm, sd = crime8
     t0 = time.time()
-    n = fm.A_hat.shape[1]
-    failures = []
-    for j in range(n):
-        r = method_I(fm, sd, fm.A_hat[:, j], 1e-10)
-        if j not in r.argmax_tieset and r.coeffs[j] < r.coeffs.max() - ARGMAX_TIE_TOL:
-            failures.append(j)
+    result = check_argmax_recovery(fm, sd, alpha=1e-10)
     elapsed = time.time() - t0
-    ok = not failures and elapsed < 30.0
+    ok = result.passed and elapsed < 30.0
     report(
         "criterion 2b (method I argmax membership, all 64 indices)",
         ok,
-        f"{n - len(failures)}/{n} recovered in {elapsed:.2f}s",
+        f"{result.detail} in {elapsed:.2f}s",
     )
-    assert not failures
+    assert result.passed
     assert elapsed < 30.0
 
 

@@ -96,21 +96,41 @@ def test_huge_noise_level_exits_2_without_manifest(tmp_path, capsys):
     assert not (out / "manifest.json").exists()
 
 
-@pytest.mark.parametrize("kappa", ["1e160", "1e300"])
-def test_huge_noise_level_prints_only_the_error_line(tmp_path, kappa):
-    # a fresh interpreter, so numpy's RuntimeWarnings would reach stderr
+def fresh_cli(*argv: str) -> subprocess.CompletedProcess:
+    """Run the CLI in a fresh interpreter, so numpy's RuntimeWarnings would reach stderr."""
     src = str(Path(nullsrc.__file__).resolve().parent.parent)
-    done = subprocess.run(
-        [sys.executable, "-m", "nullsrc.cli", "preset", "ex1", "--out", str(tmp_path / "o"),
-         "--override", f"kappa={kappa}"],
+    return subprocess.run(
+        [sys.executable, "-m", "nullsrc.cli", *argv],
         capture_output=True,
         text=True,
         timeout=120,
         env={**os.environ, "PYTHONPATH": src},
     )
+
+
+@pytest.mark.parametrize("kappa", ["1e160", "1e300"])
+def test_huge_noise_level_prints_only_the_error_line(tmp_path, kappa):
+    done = fresh_cli("preset", "ex1", "--out", str(tmp_path / "o"), "--override", f"kappa={kappa}")
     assert done.returncode == 2
     lines = done.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and "gamma" in lines[0]
+
+
+@pytest.mark.parametrize(
+    "amplitude, code, message",
+    [(1e308, 2, "true-source amplitudes"), (1e300, 1, "refusing to export a non-finite result")],
+    ids=["1e308", "1e300"],
+)
+def test_huge_source_amplitude_prints_only_the_error_line(tmp_path, amplitude, code, message):
+    # 1e308 overflows the boundary data itself; 1e300 only the norms after the solve
+    data = config_to_dict(builtin_presets()["ex1"])
+    data["true_source"] = [{"cell": 34, "amplitude": amplitude}]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(data))
+    done = fresh_cli("run", "--config", str(config), "--out", str(tmp_path / "o"))
+    assert done.returncode == code
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and message in lines[0] and "kappa" not in lines[0]
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,6 @@ from nullsrc import (
     assemble,
     build_control_basis,
     build_mesh,
-    cell_field_to_coefficients,
     coefficients_to_cell_field,
     control_load_matrix,
     project_cell_function,
@@ -68,32 +67,30 @@ class TestBuildControlBasis:
 class TestControlLoadMatrix:
     def test_column_sums_are_sqrt_area(self, square8):
         mesh, sys, basis = square8
-        M_cf = control_load_matrix(basis, sys, mesh)
+        M_cf = control_load_matrix(basis, mesh)
         np.testing.assert_allclose(M_cf.sum(axis=0), np.sqrt(basis.areas), rtol=1e-12)
 
     def test_constant_function_consistency(self, square8):
         mesh, sys, basis = square8
         # f = 1 expanded in the basis has coefficients sqrt(area)
-        M_cf = control_load_matrix(basis, sys, mesh)
+        M_cf = control_load_matrix(basis, mesh)
         load = M_cf @ np.sqrt(basis.areas)
         np.testing.assert_allclose(load, sys.M @ np.ones(sys.n_nodes), atol=1e-12)
 
     def test_source_load_matches_matrix_product(self):
         mesh = build_mesh(DomainSpec(Shape.L_SHAPE, 16, 16))
-        sys = assemble(mesh, 1e-3)
         basis = build_control_basis(mesh, 8, 8)
         a = np.random.default_rng(3).standard_normal(basis.n)
         np.testing.assert_allclose(
-            source_load(basis, mesh, a), control_load_matrix(basis, sys, mesh) @ a, rtol=0, atol=1e-15
+            source_load(basis, mesh, a), control_load_matrix(basis, mesh) @ a, rtol=0, atol=1e-15
         )
 
     def test_single_triangle_against_quadrature(self):
         # 1-cell control grid on a 1-cell mesh; oracle: midpoint quadrature,
         # exact for the linear integrand phi * lambda_k
         mesh = build_mesh(DomainSpec(Shape.UNIT_SQUARE, 1, 1))
-        sys = assemble(mesh, 1.0)
         basis = build_control_basis(mesh, 1, 1)
-        M_cf = control_load_matrix(basis, sys, mesh)
+        M_cf = control_load_matrix(basis, mesh)
         oracle = np.zeros(mesh.n_nodes)
         for tri in mesh.triangles:
             p = mesh.nodes[tri]
@@ -126,7 +123,7 @@ class TestCellFields:
         rng = np.random.default_rng(5)
         coeffs = rng.standard_normal(64)
         values = coefficients_to_cell_field(basis, coeffs)
-        np.testing.assert_allclose(cell_field_to_coefficients(basis, values), coeffs)
+        np.testing.assert_allclose(values / basis.scale, coeffs)
 
     def test_length_mismatch(self, square8):
         _, _, basis = square8

@@ -54,7 +54,7 @@ class TestGenerateData:
     def test_restriction_is_nodal_injection(self):
         # coarse boundary values must equal the fine solution at the
         # coincident nodes, located independently by coordinate matching
-        from nullsrc import assemble, build_mesh, refine_uniform, solve_state, trace
+        from nullsrc import assemble, build_mesh, refine_uniform
         from nullsrc.control_space import build_control_basis, control_load_matrix
 
         cfg = crime_cfg(
@@ -71,8 +71,8 @@ class TestGenerateData:
         basis_f = build_control_basis(fine, 8, 8)
         a = np.zeros(64)
         a[34] = 1.0
-        u = solve_state(sys_f, control_load_matrix(basis_f, sys_f, fine) @ a)
-        d_fine = trace(sys_f, u)
+        u = sys_f.solver.solve(control_load_matrix(basis_f, fine) @ a)
+        d_fine = u[sys_f.trace_map]
         fine_xy = {tuple(xy): i for i, xy in enumerate(fine.nodes[fine.boundary_nodes])}
         for k, node in enumerate(coarse.boundary_nodes):
             pos = fine_xy[tuple(coarse.nodes[node])]

@@ -15,8 +15,6 @@ from nullsrc import (
     SingularState,
     assemble,
     build_mesh,
-    solve_state,
-    trace,
 )
 from nullsrc.fem import StateSolver
 
@@ -97,7 +95,7 @@ class TestAssemble:
 class TestSolveState:
     def test_zero_load(self, square3):
         _, sys = square3
-        assert np.all(solve_state(sys, np.zeros(sys.n_nodes)) == 0)
+        assert np.all(sys.solver.solve(np.zeros(sys.n_nodes)) == 0)
 
     def test_constant_source_gives_constant_state(self):
         # -lap(1) + eps*1 = eps, so the load eps*M*1 yields u = 1
@@ -105,7 +103,7 @@ class TestSolveState:
         for eps in (1e-3, 0.7):
             sys = assemble(mesh, eps)
             load = eps * (sys.M @ np.ones(sys.n_nodes))
-            u = solve_state(sys, load)
+            u = sys.solver.solve(load)
             np.testing.assert_allclose(u, 1.0, atol=1e-10)
 
     def test_matches_dense_oracle_on_9_node_mesh(self):
@@ -114,7 +112,7 @@ class TestSolveState:
         rng = np.random.default_rng(11)
         load = rng.standard_normal(9)
         expected = np.linalg.solve(sys.S.toarray(), load)
-        np.testing.assert_allclose(solve_state(sys, load), expected, atol=1e-12)
+        np.testing.assert_allclose(sys.solver.solve(load), expected, atol=1e-12)
 
     def test_negative_epsilon_uses_lu_and_matches_oracle(self):
         mesh = build_mesh(DomainSpec(Shape.UNIT_SQUARE, 4, 4))
@@ -122,13 +120,13 @@ class TestSolveState:
         rng = np.random.default_rng(12)
         load = rng.standard_normal(sys.n_nodes)
         expected = np.linalg.solve(sys.S.toarray(), load)
-        np.testing.assert_allclose(solve_state(sys, load), expected, rtol=1e-10)
+        np.testing.assert_allclose(sys.solver.solve(load), expected, rtol=1e-10)
 
     def test_pure_neumann_is_singular(self):
         mesh = build_mesh(DomainSpec(Shape.UNIT_SQUARE, 3, 3))
         sys = assemble(mesh, 0.0)
         with pytest.raises(SingularState):
-            solve_state(sys, np.ones(sys.n_nodes))
+            sys.solver.solve(np.ones(sys.n_nodes))
 
     def test_resonance_is_singular(self):
         # epsilon tuned to a generalized eigenvalue of (K, M)
@@ -151,27 +149,27 @@ class TestSolveState:
         mesh = build_mesh(DomainSpec(Shape.UNIT_SQUARE, 5, 5))
         rng = np.random.default_rng(13)
         load = rng.standard_normal(36)
-        u1 = solve_state(assemble(mesh, 1e-3), load)
-        u2 = solve_state(assemble(mesh, 1e-3 * (1 + 1e-9)), load)
+        u1 = assemble(mesh, 1e-3).solver.solve(load)
+        u2 = assemble(mesh, 1e-3 * (1 + 1e-9)).solver.solve(load)
         assert np.linalg.norm(u1 - u2) <= 1e-6 * np.linalg.norm(u1)
 
     def test_wrong_load_length(self, square3):
         _, sys = square3
         with pytest.raises(ValueError):
-            solve_state(sys, np.zeros(3))
+            sys.solver.solve(np.zeros(3))
 
 
 class TestTrace:
     def test_constant(self, square3):
         _, sys = square3
-        np.testing.assert_array_equal(trace(sys, np.ones(sys.n_nodes)), 1.0)
+        np.testing.assert_array_equal(np.ones(sys.n_nodes)[sys.trace_map], 1.0)
 
     def test_zero(self, square3):
         _, sys = square3
-        assert np.all(trace(sys, np.zeros(sys.n_nodes)) == 0)
+        assert np.all(np.zeros(sys.n_nodes)[sys.trace_map] == 0)
 
     def test_selection_by_index(self):
         mesh = build_mesh(DomainSpec(Shape.UNIT_SQUARE, 2, 2))
         sys = assemble(mesh, 1.0)
         u = np.arange(9, dtype=float)
-        np.testing.assert_array_equal(trace(sys, u), mesh.boundary_nodes.astype(float))
+        np.testing.assert_array_equal(u[sys.trace_map], mesh.boundary_nodes.astype(float))

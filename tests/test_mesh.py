@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nullsrc import DomainSpec, InvalidSpec, Shape, build_mesh, export_text, refine_uniform
+from nullsrc import DomainSpec, InvalidSpec, Shape, build_mesh, refine_uniform
 from nullsrc.mesh import Mesh, _boundary_structure, triangle_areas
 
 
@@ -219,17 +219,3 @@ class TestRefineUniform:
         twice, _ = refine_uniform(once)
         assert twice.n_nodes == 81
         assert triangle_areas(twice).min() > 0
-
-
-class TestExport:
-    def test_round_trip_structure(self):
-        mesh = build_mesh(DomainSpec(Shape.UNIT_SQUARE, 2, 1))
-        text = export_text(mesh)
-        blocks = text.strip("\n").split("\n\n")
-        assert len(blocks) == 3
-        nodes = [tuple(map(float, line.split())) for line in blocks[0].splitlines()]
-        tris = [tuple(map(int, line.split())) for line in blocks[1].splitlines()]
-        edges = [tuple(map(int, line.split())) for line in blocks[2].splitlines()]
-        assert np.allclose(np.array(nodes), mesh.nodes)
-        assert np.array_equal(np.array(tris), mesh.triangles)
-        assert np.array_equal(np.array(edges), mesh.boundary_edges)

@@ -12,15 +12,10 @@ from nullsrc import (
     GammaTooSmall,
     IllConditioned,
     Method,
-    method_I,
-    method_II,
-    method_III,
     min_norm_lsq,
-    min_norm_solve,
     morozov,
     solve_method,
     spectral_data_from_matrix,
-    standard_tikhonov,
     tikhonov,
 )
 from nullsrc.spectral import ForwardModel, thin_svd
@@ -152,14 +147,14 @@ class TestMinNormLsq:
 class TestMethodI:
     def test_symmetric_1x2(self):
         fm, sd = model_from_matrix(np.array([[1.0, 1.0]]))
-        r = method_I(fm, sd, np.array([1.0]), 1e-12)
+        r = solve_method(fm, sd, np.array([1.0]), 1e-12, Method.METHOD_I)
         np.testing.assert_allclose(r.coeffs, [1 / np.sqrt(2)] * 2, atol=1e-10)
         assert set(r.argmax_tieset) == {0, 1}
         assert r.argmax_cell == 0
 
     def test_zero_data(self, crime8):
         fm, sd = crime8
-        r = method_I(fm, sd, np.zeros(fm.A_hat.shape[0]), 1e-6)
+        r = solve_method(fm, sd, np.zeros(fm.A_hat.shape[0]), 1e-6, Method.METHOD_I)
         np.testing.assert_allclose(r.coeffs, 0.0, atol=1e-12)
 
     def test_expansion_identity_in_the_limit(self, crime8):
@@ -180,7 +175,8 @@ class TestMethodI:
         for j in (0, 27, 63):
             expansion = sd.project(np.eye(n)[j]) / sd.p_norms
             errs = [
-                np.max(np.abs(method_I(fm, sd, fm.A_hat[:, j], alpha).coeffs - expansion))
+                np.max(np.abs(solve_method(fm, sd, fm.A_hat[:, j], alpha, Method.METHOD_I).coeffs
+                              - expansion))
                 for alpha in (1e-8, 1e-10, 1e-12)
             ]
             assert errs[2] <= 1e-6
@@ -190,26 +186,26 @@ class TestMethodI:
         fm, sd = crime8
         n = fm.A_hat.shape[1]
         for j in range(n):
-            r = method_I(fm, sd, fm.A_hat[:, j], 1e-10)
+            r = solve_method(fm, sd, fm.A_hat[:, j], 1e-10, Method.METHOD_I)
             assert r.coeffs[j] >= r.coeffs.max() - 1e-8
 
     def test_argmax_at_correct_index_random(self, random_systems):
         for fm, sd in random_systems:
             for j in range(fm.A_hat.shape[1]):
-                r = method_I(fm, sd, fm.A_hat[:, j], 1e-10)
+                r = solve_method(fm, sd, fm.A_hat[:, j], 1e-10, Method.METHOD_I)
                 assert r.coeffs[j] >= r.coeffs.max() - 1e-8
 
 
 class TestMethodII:
     def test_symmetric_1x2_limit(self):
         fm, sd = model_from_matrix(np.array([[1.0, 1.0]]))
-        r = method_II(fm, sd, np.array([1.0]), 1e-12)
+        r = solve_method(fm, sd, np.array([1.0]), 1e-12, Method.METHOD_II)
         np.testing.assert_allclose(r.coeffs, [np.sqrt(2) / 4] * 2, atol=1e-10)
         np.testing.assert_allclose(r.coeffs / sd.p_norms[0], [0.5, 0.5], atol=1e-10)
 
     def test_zero_data(self, crime8):
         fm, sd = crime8
-        r = method_II(fm, sd, np.zeros(fm.A_hat.shape[0]), 1e-3)
+        r = solve_method(fm, sd, np.zeros(fm.A_hat.shape[0]), 1e-3, Method.METHOD_II)
         np.testing.assert_allclose(r.coeffs, 0.0, atol=1e-12)
 
     def test_matches_scaled_pseudo_inverse(self, random_systems):
@@ -218,7 +214,7 @@ class TestMethodII:
         rng = np.random.default_rng(36)
         for fm, sd in random_systems:
             b = fm.A_hat @ rng.standard_normal(fm.A_hat.shape[1])
-            r = method_II(fm, sd, b, 1e-10)
+            r = solve_method(fm, sd, b, 1e-10, Method.METHOD_II)
             oracle = min_norm_lsq(fm.A_hat / sd.p_norms[None, :], b)
             np.testing.assert_allclose(r.coeffs, oracle, atol=1e-6)
 
@@ -233,13 +229,13 @@ class TestMethodIII:
         A = random_rank_deficient(rng, 8, 5, 5)  # full column rank: w = 1
         fm, sd = model_from_matrix(A)
         b = rng.standard_normal(8)
-        r3 = method_III(fm, sd, b, 1e-3)
-        r0 = standard_tikhonov(fm, sd, b, 1e-3)
+        r3 = solve_method(fm, sd, b, 1e-3, Method.METHOD_III)
+        r0 = solve_method(fm, sd, b, 1e-3, Method.STANDARD_TIKHONOV)
         np.testing.assert_allclose(r3.coeffs, r0.coeffs, atol=1e-10)
 
     def test_symmetric_1x2_limit(self):
         fm, sd = model_from_matrix(np.array([[1.0, 1.0]]))
-        r = method_III(fm, sd, np.array([1.0]), 1e-12)
+        r = solve_method(fm, sd, np.array([1.0]), 1e-12, Method.METHOD_III)
         np.testing.assert_allclose(r.coeffs, [0.5, 0.5], atol=1e-10)
 
     def test_equals_rescaled_method_II(self, random_systems):
@@ -247,8 +243,8 @@ class TestMethodIII:
         for fm, sd in random_systems:
             b = rng.standard_normal(fm.A_hat.shape[0])
             for alpha in (1e-6, 1e-3, 1.0):
-                z = method_III(fm, sd, b, alpha).coeffs
-                y = method_II(fm, sd, b, alpha).coeffs
+                z = solve_method(fm, sd, b, alpha, Method.METHOD_III).coeffs
+                y = solve_method(fm, sd, b, alpha, Method.METHOD_II).coeffs
                 gap = np.linalg.norm(z - y / sd.p_norms)
                 assert gap <= 1e-9 * max(1.0, np.linalg.norm(y))
 
@@ -309,9 +305,14 @@ def test_methods_match_stacked_lstsq(crime8, random_systems, alpha):
         b = rng.standard_normal(fm.A_hat.shape[0])
         x = stacked_lstsq(fm.A_hat, b, alpha)
         y = stacked_lstsq(fm.A_hat / w, b, alpha)
-        expected = {standard_tikhonov: x, method_I: x / w, method_II: y, method_III: y / w}
-        for solve, reference in expected.items():
-            coeffs = solve(fm, sd, b, alpha).coeffs
+        expected = {
+            Method.STANDARD_TIKHONOV: x,
+            Method.METHOD_I: x / w,
+            Method.METHOD_II: y,
+            Method.METHOD_III: y / w,
+        }
+        for method, reference in expected.items():
+            coeffs = solve_method(fm, sd, b, alpha, method).coeffs
             assert np.linalg.norm(coeffs - reference) <= 1e-8 * np.linalg.norm(reference)
 
 
@@ -322,10 +323,7 @@ class TestSolveResultContract:
         b = rng.standard_normal(fm.A_hat.shape[0])
         for alpha in (1e-10, 1e-4, 1.0):
             for method in Method:
-                if method is Method.MIN_NORM:
-                    r = min_norm_solve(fm, sd, b)
-                else:
-                    r = solve_method(fm, sd, b, alpha, method)
+                r = solve_method(fm, sd, b, alpha, method)  # MIN_NORM solves at alpha 0
                 recomputed = residual_from_coeffs(fm.A_hat, sd, method, r.coeffs, b)
                 assert recomputed == pytest.approx(r.residual, rel=1e-10)
 
@@ -346,7 +344,7 @@ class TestSolveResultContract:
 
     def test_argmax_tie_reporting(self):
         fm, sd = model_from_matrix(np.eye(3))
-        r = standard_tikhonov(fm, sd, np.array([1.0, 1.0, 0.0]), 1e-6)
+        r = solve_method(fm, sd, np.array([1.0, 1.0, 0.0]), 1e-6, Method.STANDARD_TIKHONOV)
         assert r.argmax_cell == 0
         assert set(r.argmax_tieset) == {0, 1}
 

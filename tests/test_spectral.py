@@ -6,10 +6,9 @@ import pytest
 from nullsrc import (
     DegenerateBasis,
     DomainSpec,
+    IllConditioned,
     Shape,
     analyze,
-    apply_W,
-    apply_W_inv,
     assemble,
     build_control_basis,
     build_forward_model,
@@ -17,6 +16,7 @@ from nullsrc import (
     optimal_scalar_weight,
     spectral_data_from_matrix,
 )
+from nullsrc.spectral import RANK_TOL_REL, numerical_rank
 from nullsrc.verify import random_rank_deficient
 
 
@@ -54,7 +54,7 @@ class TestForwardModel:
         mesh, sys, basis, fm, _ = crime8
         from nullsrc.control_space import control_load_matrix
 
-        M_cf = control_load_matrix(basis, sys, mesh)
+        M_cf = control_load_matrix(basis, mesh)
         j = 19
         u = np.linalg.solve(sys.S.toarray(), M_cf[:, j])
         np.testing.assert_allclose(fm.A[:, j], u[sys.trace_map], atol=1e-12)
@@ -88,6 +88,18 @@ class TestAnalyze:
         assert sd.rank == 2
         assert np.all(sd.p_norms < 1.0)
 
+    def test_numerical_rank_of_zero_and_empty_spectra(self):
+        assert numerical_rank(np.linalg.svd(np.zeros((3, 2)), compute_uv=False), RANK_TOL_REL) == 0
+        assert numerical_rank(np.array([]), RANK_TOL_REL) == 0
+
+    def test_failed_svd_raises_ill_conditioned(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(IllConditioned, match="SVD failed"):
+            spectral_data_from_matrix(np.eye(3))
+
     def test_projection_stays_in_row_space(self, crime8):
         *_, fm, sd = crime8
         rng = np.random.default_rng(23)
@@ -112,21 +124,19 @@ class TestAnalyze:
         for k in range(min(3, null_vecs.shape[1])):
             q = null_vecs[:, k]
             assert np.linalg.norm(A @ q) <= 1e-8
-            assert np.linalg.norm(Aw @ apply_W(sd, q)) <= 1e-8
+            assert np.linalg.norm(Aw @ (q * sd.p_norms)) <= 1e-8
 
 
 class TestWeightOperator:
     def test_symmetric_case_apply(self):
         sd = spectral_data_from_matrix(np.array([[1.0, 1.0]]))
-        np.testing.assert_allclose(
-            apply_W(sd, np.array([1.0, 0.0])), [1 / np.sqrt(2), 0.0]
-        )
+        np.testing.assert_allclose(np.array([1.0, 0.0]) * sd.p_norms, [1 / np.sqrt(2), 0.0])
 
     def test_round_trip(self, crime8):
         *_, sd = crime8
         rng = np.random.default_rng(24)
         c = rng.standard_normal(len(sd.p_norms))
-        np.testing.assert_allclose(apply_W_inv(sd, apply_W(sd, c)), c, atol=1e-14)
+        np.testing.assert_allclose(c * sd.p_norms / sd.p_norms, c, atol=1e-14)
 
     def test_full_rank_gives_identity_weights(self):
         A = np.eye(3)
