@@ -48,8 +48,9 @@ class DegenerateBasis(NullsrcError):
 class IllConditioned(NullsrcError):
     """A solve gave no usable coefficients.
 
-    An SVD or the discrepancy search failed to converge, or the
-    coefficients came out non-finite (for example from NaN data).
+    An SVD or the discrepancy search failed to converge, the coefficients
+    came out non-finite (for example from NaN data), or the residual or
+    error norm of finite coefficients overflowed.
     """
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,7 @@ from .control_space import (
     project_cell_function,
     source_load,
 )
-from .errors import ConfigError, NullsrcError
+from .errors import ConfigError, IllConditioned, NullsrcError
 from .fem import CoefficientField, FemSystem, assemble
 from .mesh import DomainSpec, Mesh, Shape, build_mesh, refine_uniform
 from .solvers import (
@@ -81,11 +81,6 @@ class SigmaSpec:
                 lambda x, y: b0 + bx * x + by * y,
             )
         raise ConfigError(f"unknown sigma kind {self.kind!r}")
-
-
-# Default anisotropic field for the ex4 preset: mild rightward/upward
-# gradients in the two diffusivities; overridable through the config.
-BUILTIN_TENSOR = SigmaSpec(kind="affine", kappa1=(1.0, 0.5, 0.0), kappa2=(1.0, 0.0, 0.25))
 
 
 @dataclass(frozen=True)
@@ -194,14 +189,12 @@ class Setup:
 def build_setup(cfg: ExperimentConfig) -> Setup:
     validate_config(cfg)
     if cfg.inverse_crime:
-        mesh = build_mesh(cfg.domain)
-        mesh_inv = mesh_fwd = mesh
-        restrict_idx = np.arange(len(mesh.boundary_nodes))
+        mesh_inv = mesh_fwd = build_mesh(cfg.domain)
     else:
         coarse_spec = DomainSpec(cfg.domain.shape, cfg.domain.nx // 2, cfg.domain.ny // 2)
         mesh_inv = build_mesh(coarse_spec)
-        mesh_fwd, injection = refine_uniform(mesh_inv)
-        restrict_idx = np.searchsorted(mesh_fwd.boundary_nodes, injection[mesh_inv.boundary_nodes])
+        mesh_fwd = refine_uniform(mesh_inv)  # coarse nodes keep their indices
+    restrict_idx = np.searchsorted(mesh_fwd.boundary_nodes, mesh_inv.boundary_nodes)
     sys_inv = assemble(mesh_inv, cfg.epsilon, cfg.sigma.materialize(mesh_inv))
     sys_fwd = (
         sys_inv
@@ -324,7 +317,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         s_min_retained=float(sd.s[sd.rank - 1]) if sd.rank else 0.0,
     )
 
-    # an overflowing residual or error norm is left as inf, which export refuses
+    # an overflowing residual or error norm is reported by the check below
     with np.errstate(over="ignore"):
         for method in cfg.methods:
             outcome = MethodOutcome(method=method)
@@ -341,9 +334,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                     )
                 else:
                     solved = solve_method(fm, sd, b_hat, cfg.alpha, method)
+                l2_error = float(np.linalg.norm(solved.coeffs - truth_coeffs))
+                norms = {"residual": float(solved.residual), "l2_error": l2_error}
+                bad = [name for name, value in norms.items() if not math.isfinite(value)]
+                if bad:
+                    raise IllConditioned(f"non-finite {' and '.join(bad)}: the data are too large")
                 outcome.result = solved
                 outcome.values = coefficients_to_cell_field(setup.basis_inv, solved.coeffs)
-                outcome.l2_error = float(np.linalg.norm(solved.coeffs - truth_coeffs))
+                outcome.l2_error = l2_error
                 outcome.argmax_chebyshev = _chebyshev_to_truth(
                     setup.basis_inv, solved.argmax_cell, truth_values
                 )
@@ -356,15 +354,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 # serialization
 
-def _csv_float(x: float) -> str:
-    return repr(float(x))
-
-
-def _write_field_csv(path: Path, basis: ControlBasis, values: np.ndarray) -> None:
-    lines = ["cell,cx,cy,value"]
-    for i in range(basis.n):
-        cx, cy = basis.cell_centers[i]
-        lines.append(f"{i},{_csv_float(cx)},{_csv_float(cy)},{_csv_float(values[i])}")
+def _write_csv(path: Path, header: str, ids, *float_columns) -> None:
+    """One row per id: the integer id, then each column's value as repr(float)."""
+    lines = [header] + [
+        ",".join([str(int(i))] + [repr(float(v)) for v in values])
+        for i, *values in zip(ids, *float_columns, strict=True)
+    ]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -420,9 +415,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             alpha: float | MorozovRule = MorozovRule(
                 **_given(alpha_raw, alpha_min=float, alpha_max=float, rel_tol=float)
             )
-        elif isinstance(alpha_raw, str):
-            if alpha_raw.lower() != "morozov":
-                raise ConfigError(f"unknown alpha rule {alpha_raw!r}")
+        elif isinstance(alpha_raw, str) and alpha_raw.lower() == "morozov":
             alpha = MorozovRule()
         else:
             alpha = float(alpha_raw)
@@ -458,29 +451,26 @@ _OVERRIDE_KEYS = ("alpha", "epsilon", "kappa", "seed", "methods", "rank_tol")
 
 
 def apply_overrides(cfg: ExperimentConfig, overrides: dict[str, str]) -> ExperimentConfig:
-    """Apply key=value CLI overrides; unknown keys are rejected."""
+    """Apply key=value CLI overrides; unknown keys are rejected.
+
+    Values are converted by config_from_dict, exactly like config-file
+    values; a failed conversion names the override that caused it.
+    """
     data = config_to_dict(cfg)
     for key, value in overrides.items():
         if key not in _OVERRIDE_KEYS:
             raise ConfigError(
                 f"unknown override {key!r} (allowed: {', '.join(_OVERRIDE_KEYS)})"
             )
+        if key == "methods":
+            data["methods"] = [m for m in value.split(",") if m]
+        else:
+            data["noise_kappa" if key == "kappa" else key] = value
         try:
-            if key == "alpha":
-                data["alpha"] = value if value.lower() == "morozov" else float(value)
-            elif key == "epsilon":
-                data["epsilon"] = float(value)
-            elif key == "kappa":
-                data["noise_kappa"] = float(value)
-            elif key == "seed":
-                data["seed"] = int(value)
-            elif key == "rank_tol":
-                data["rank_tol"] = float(value)
-            elif key == "methods":
-                data["methods"] = [m for m in value.split(",") if m]
-        except ValueError as exc:
+            cfg = config_from_dict(data)
+        except ConfigError as exc:
             raise ConfigError(f"bad override value {key}={value!r}: {exc}") from exc
-    return config_from_dict(data)
+    return cfg
 
 
 def export_result(result: ExperimentResult, out_dir: str | Path) -> Path:
@@ -525,150 +515,85 @@ def export_result(result: ExperimentResult, out_dir: str | Path) -> Path:
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_field_csv(out / "true_source.csv", basis, result.truth_values)
+    cells = ("cell,cx,cy,value", range(basis.n), *basis.cell_centers.T)
+    _write_csv(out / "true_source.csv", *cells, result.truth_values)
     for name, outcome in result.outcomes.items():
         if outcome.error is None:
-            _write_field_csv(out / f"source_{name}.csv", basis, outcome.values)
-
-    lines = ["node,x,y,d,d_noisy"]
-    for k, node in enumerate(result.boundary_nodes):
-        x, y = result.boundary_xy[k]
-        lines.append(
-            f"{int(node)},{_csv_float(x)},{_csv_float(y)},"
-            f"{_csv_float(result.d[k])},{_csv_float(result.d_noisy[k])}"
-        )
-    (out / "boundary.csv").write_text("\n".join(lines) + "\n")
+            _write_csv(out / f"source_{name}.csv", *cells, outcome.values)
+    boundary = (result.boundary_nodes, *result.boundary_xy.T, result.d, result.d_noisy)
+    _write_csv(out / "boundary.csv", "node,x,y,d,d_noisy", *boundary)
     (out / "manifest.json").write_text(manifest_text)
     return out / "manifest.json"
 
 
 def builtin_presets() -> dict[str, ExperimentConfig]:
-    """Named configurations reproducing the reference numerical studies."""
-
-    def square(n: int) -> DomainSpec:
-        return DomainSpec(Shape.UNIT_SQUARE, n, n)
-
+    """Named configurations reproducing the reference numerical studies;
+    each changes a few fields of one shared setup."""
     all_methods = (
         Method.STANDARD_TIKHONOV,
         Method.METHOD_I,
         Method.METHOD_II,
         Method.METHOD_III,
     )
-    weighted = (Method.METHOD_I, Method.METHOD_II, Method.METHOD_III)
 
     def block(gx0: int, gy0: int, mx: int = 16, size: int = 2) -> tuple[tuple[int, float], ...]:
         return tuple(
             ((gy0 + dy) * mx + gx0 + dx, 1.0) for dy in range(size) for dx in range(size)
         )
 
-    presets = {
+    base = ExperimentConfig(
+        name="base",
+        domain=DomainSpec(Shape.UNIT_SQUARE, 64, 64),
+        control_dims_forward=(16, 16),
+        control_dims_inverse=(16, 16),
+        epsilon=1e-3,
+        sigma=SigmaSpec(),
+        true_source=block(3, 3) + block(11, 11),
+        methods=all_methods,
+        alpha=1e-3,
+    )
+    coarse_8x8 = {"control_dims_forward": (8, 8), "control_dims_inverse": (8, 8)}
+    morozov_ii_iii = {"methods": (Method.METHOD_II, Method.METHOD_III), "alpha": MorozovRule()}
+    presets = (
         # single interior basis function, deliberate inverse crime
-        "ex1": ExperimentConfig(
+        replace(
+            base,
             name="ex1",
-            domain=square(16),
-            control_dims_forward=(8, 8),
-            control_dims_inverse=(8, 8),
-            epsilon=1e-3,
-            sigma=SigmaSpec(),
+            domain=DomainSpec(Shape.UNIT_SQUARE, 16, 16),
             true_source=((4 * 8 + 2, 1.0),),  # grid cell (2, 4)
-            methods=all_methods,
-            alpha=1e-3,
             seed=101,
             inverse_crime=True,
+            **coarse_8x8,
         ),
         # L-shaped geometry, nested-mesh data generation
-        "ex2": ExperimentConfig(
+        replace(
+            base,
             name="ex2",
             domain=DomainSpec(Shape.L_SHAPE, 32, 32),
-            control_dims_forward=(8, 8),
-            control_dims_inverse=(8, 8),
-            epsilon=1e-3,
-            sigma=SigmaSpec(),
             true_source=((2 * 8 + 2, 1.0), (2 * 8 + 3, 1.0)),  # cells (2,2), (3,2)
-            methods=all_methods,
-            alpha=1e-3,
             seed=102,
+            **coarse_8x8,
         ),
-        # source hugging the left boundary
-        "ex3": ExperimentConfig(
-            name="ex3",
-            domain=square(64),
-            control_dims_forward=(16, 16),
-            control_dims_inverse=(16, 16),
-            epsilon=1e-3,
-            sigma=SigmaSpec(),
-            true_source=((7 * 16, 1.0), (8 * 16, 1.0)),  # cells (0,7), (0,8)
-            methods=all_methods,
-            alpha=1e-4,
-            seed=103,
-        ),
-        # anisotropic diffusivity
-        "ex4": ExperimentConfig(
+        # source hugging the left boundary: cells (0,7), (0,8)
+        replace(base, name="ex3", true_source=((7 * 16, 1.0), (8 * 16, 1.0)), alpha=1e-4, seed=103),
+        # anisotropic diffusivity: mild rightward/upward gradients in the two components
+        replace(
+            base,
             name="ex4",
-            domain=square(64),
-            control_dims_forward=(16, 16),
-            control_dims_inverse=(16, 16),
-            epsilon=1e-3,
-            sigma=BUILTIN_TENSOR,
+            sigma=SigmaSpec(kind="affine", kappa1=(1.0, 0.5, 0.0), kappa2=(1.0, 0.0, 0.25)),
             true_source=block(3, 7),
-            methods=all_methods,
             alpha=1e-4,
             seed=104,
         ),
         # two well-separated sources
-        "ex5a": ExperimentConfig(
-            name="ex5a",
-            domain=square(64),
-            control_dims_forward=(16, 16),
-            control_dims_inverse=(16, 16),
-            epsilon=1e-3,
-            sigma=SigmaSpec(),
-            true_source=block(3, 3) + block(11, 11),
-            methods=all_methods,
-            alpha=1e-3,
-            seed=105,
-        ),
+        replace(base, name="ex5a", seed=105),
         # three sources; the bottom-right one is the hardest to see
-        "ex5b": ExperimentConfig(
-            name="ex5b",
-            domain=square(64),
-            control_dims_forward=(16, 16),
-            control_dims_inverse=(16, 16),
-            epsilon=1e-3,
-            sigma=SigmaSpec(),
-            true_source=block(3, 3) + block(11, 11) + block(11, 3),
-            methods=all_methods,
-            alpha=1e-3,
-            seed=106,
-        ),
-    }
-    # noisy data with the discrepancy rule, two noise levels
-    for tag, kappa, seed in (("ex6a", 0.05, 107), ("ex6b", 0.20, 108)):
-        presets[tag] = ExperimentConfig(
-            name=tag,
-            domain=square(64),
-            control_dims_forward=(16, 16),
-            control_dims_inverse=(16, 16),
-            epsilon=1e-3,
-            sigma=SigmaSpec(),
-            true_source=block(3, 3) + block(11, 11),
-            methods=(Method.METHOD_II, Method.METHOD_III),
-            alpha=MorozovRule(),
-            noise_kappa=kappa,
-            seed=seed,
-        )
-    # indefinite (Helmholtz) regime; same source location as ex1
-    for tag, eps, seed in (("ex7a", -1.0, 109), ("ex7b", -100.0, 110)):
-        presets[tag] = ExperimentConfig(
-            name=tag,
-            domain=square(64),
-            control_dims_forward=(16, 16),
-            control_dims_inverse=(16, 16),
-            epsilon=eps,
-            sigma=SigmaSpec(),
-            true_source=block(4, 8),
-            methods=all_methods,
-            alpha=1e-3,
-            seed=seed,
-        )
-    return presets
+        replace(base, name="ex5b", true_source=base.true_source + block(11, 3), seed=106),
+        # noisy data with the discrepancy rule, two noise levels
+        replace(base, name="ex6a", noise_kappa=0.05, seed=107, **morozov_ii_iii),
+        replace(base, name="ex6b", noise_kappa=0.20, seed=108, **morozov_ii_iii),
+        # indefinite (Helmholtz) regime; same source location as ex1
+        replace(base, name="ex7a", epsilon=-1.0, true_source=block(4, 8), seed=109),
+        replace(base, name="ex7b", epsilon=-100.0, true_source=block(4, 8), seed=110),
+    )
+    return {cfg.name: cfg for cfg in presets}

@@ -139,12 +139,11 @@ def build_mesh(spec: DomainSpec) -> Mesh:
     )
 
 
-def refine_uniform(mesh: Mesh) -> tuple[Mesh, np.ndarray]:
+def refine_uniform(mesh: Mesh) -> Mesh:
     """Split every triangle into four via edge midpoints.
 
-    Coarse nodes keep their indices and coordinates in the fine mesh.
-    Returns the refined mesh and the coarse-to-fine node injection map
-    (here simply arange(n_coarse), kept explicit for callers).
+    Coarse nodes keep their indices and coordinates in the fine mesh, so
+    the first n_coarse fine nodes are the coarse ones.
     """
     n_coarse = mesh.n_nodes
     tris = np.asarray(mesh.triangles, dtype=np.int64)
@@ -159,10 +158,9 @@ def refine_uniform(mesh: Mesh) -> tuple[Mesh, np.ndarray]:
         [a, mab, mca, mab, b, mbc, mca, mbc, c, mab, mbc, mca]
     ).reshape(-1, 3)
     bedges, bnodes = _boundary_structure(tri_arr)
-    fine = Mesh(
+    return Mesh(
         nodes=fine_nodes,
         triangles=tri_arr,
         boundary_edges=bedges,
         boundary_nodes=bnodes,
     )
-    return fine, np.arange(n_coarse, dtype=np.int64)

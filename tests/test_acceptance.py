@@ -29,7 +29,6 @@ from nullsrc import (
     build_mesh,
     min_norm_lsq,
     morozov,
-    optimal_scalar_weight,
     spectral_data_from_matrix,
 )
 from nullsrc.cli import main
@@ -46,7 +45,9 @@ from nullsrc.spectral import ForwardModel
 from nullsrc.verify import (
     check_argmax_recovery,
     check_method_iii_consistency,
+    check_minimum_norm_projection,
     check_norm_inequalities,
+    check_projector_properties,
     crime_system,
     expansion_deviation,
     random_rank_deficient,
@@ -68,26 +69,12 @@ def model_from_matrix(A):
 
 
 def test_criterion_01_minimum_norm_oracle():
-    rng = np.random.default_rng(1001)
     t0 = time.time()
-    worst = 0.0
-    for _ in range(50):
-        m = int(rng.integers(2, 21))
-        n = int(rng.integers(2, 13))
-        rank = int(rng.integers(1, min(m, n))) if min(m, n) > 1 else 1
-        A = random_rank_deficient(rng, m, n, rank)
-        sd = spectral_data_from_matrix(A)
-        psi = rng.standard_normal(n)
-        diff = np.linalg.norm(min_norm_lsq(A, A @ psi) - sd.project(psi))
-        worst = max(worst, diff / np.linalg.norm(psi))
+    result = check_minimum_norm_projection(np.random.default_rng(1001), trials=50)
     elapsed = time.time() - t0
-    ok = worst <= 1e-8 and elapsed < 5.0
-    report(
-        "criterion 1 (minimum-norm oracle)",
-        ok,
-        f"worst relative gap {worst:.2e} over 50 systems in {elapsed:.2f}s",
-    )
-    assert worst <= 1e-8
+    ok = result.passed and elapsed < 5.0
+    report("criterion 1 (minimum-norm oracle)", ok, f"{result.detail} in {elapsed:.2f}s")
+    assert result.passed
     assert elapsed < 5.0
 
 
@@ -217,36 +204,13 @@ def test_criterion_06_projector_and_weights():
         A = random_rank_deficient(rng, m, n, int(rng.integers(1, min(m, n) + 1)))
         systems.append(spectral_data_from_matrix(A))
 
-    worst_idem = worst_sym = worst_opt = 0.0
-    weights_in_range = True
-    for sd in systems:
-        P = sd.projector()
-        worst_idem = max(worst_idem, float(np.linalg.norm(P @ P - P, 2)))
-        worst_sym = max(worst_sym, float(np.linalg.norm(P - P.T, 2)))
-        weights_in_range &= bool(np.all((sd.p_norms > 0) & (sd.p_norms <= 1 + 1e-12)))
-        worst_opt = max(
-            worst_opt,
-            max(
-                abs(optimal_scalar_weight(sd, i) - sd.p_norms[i])
-                for i in range(len(sd.p_norms))
-            ),
-        )
-    ok = (
-        worst_idem <= 1e-10
-        and worst_sym <= 1e-12
-        and weights_in_range
-        and worst_opt <= 1e-12
-    )
+    failed = [r.detail for r in map(check_projector_properties, systems) if not r.passed]
     report(
         "criterion 6 (projector and weight properties)",
-        ok,
-        f"|P^2-P|<={worst_idem:.2e}, |P-P^T|<={worst_sym:.2e}, "
-        f"weights in (0,1], optimal-weight gap <= {worst_opt:.2e}",
+        not failed,
+        f"{len(systems) - len(failed)}/{len(systems)} systems pass; failed: {failed}",
     )
-    assert worst_idem <= 1e-10
-    assert worst_sym <= 1e-12
-    assert weights_in_range
-    assert worst_opt <= 1e-12
+    assert not failed
 
 
 def test_criterion_07_noise_model():

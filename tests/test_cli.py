@@ -117,12 +117,18 @@ def test_huge_noise_level_prints_only_the_error_line(tmp_path, kappa):
 
 
 @pytest.mark.parametrize(
-    "amplitude, code, message",
-    [(1e308, 2, "true-source amplitudes"), (1e300, 1, "refusing to export a non-finite result")],
+    "amplitude, code, n_lines, prefix, message",
+    [
+        (1e308, 2, 1, "error: ", "true-source amplitudes"),
+        (1e300, 1, 4, "method ", "failed: IllConditioned: non-finite residual and l2_error"),
+    ],
     ids=["1e308", "1e300"],
 )
-def test_huge_source_amplitude_prints_only_the_error_line(tmp_path, amplitude, code, message):
-    # 1e308 overflows the boundary data itself; 1e300 only the norms after the solve
+def test_huge_source_amplitude_prints_only_the_error_line(
+    tmp_path, amplitude, code, n_lines, prefix, message
+):
+    # 1e308 overflows the boundary data itself; 1e300 only the norms after
+    # the solve, which fails each method (one line per method)
     data = config_to_dict(builtin_presets()["ex1"])
     data["true_source"] = [{"cell": 34, "amplitude": amplitude}]
     config = tmp_path / "config.json"
@@ -130,7 +136,9 @@ def test_huge_source_amplitude_prints_only_the_error_line(tmp_path, amplitude, c
     done = fresh_cli("run", "--config", str(config), "--out", str(tmp_path / "o"))
     assert done.returncode == code
     lines = done.stderr.splitlines()
-    assert len(lines) == 1 and message in lines[0] and "kappa" not in lines[0]
+    assert len(lines) == n_lines
+    assert all(line.startswith(prefix) and message in line for line in lines)
+    assert all("kappa" not in line for line in lines)
 
 
 @pytest.mark.parametrize(

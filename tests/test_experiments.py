@@ -66,7 +66,7 @@ class TestGenerateData:
         d, _, _ = generate_data(cfg)
 
         coarse = build_mesh(DomainSpec(Shape.UNIT_SQUARE, 8, 8))
-        fine, _ = refine_uniform(coarse)
+        fine = refine_uniform(coarse)
         sys_f = assemble(fine, cfg.epsilon)
         basis_f = build_control_basis(fine, 8, 8)
         a = np.zeros(64)
@@ -233,6 +233,11 @@ class TestPresets:
         for cfg in builtin_presets().values():
             assert config_from_dict(config_to_dict(cfg)) == cfg
 
+    def test_numeric_alpha_string(self):
+        data = config_to_dict(builtin_presets()["ex1"])
+        data["alpha"] = "1e-3"
+        assert config_from_dict(data).alpha == 1e-3
+
 
 class TestOverrides:
     def test_alpha_override(self):
@@ -250,6 +255,10 @@ class TestOverrides:
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError):
             apply_overrides(builtin_presets()["ex1"], {"alpha": "fast"})
+
+    def test_bad_value_names_the_override(self):
+        with pytest.raises(ConfigError, match="seed='1.5'"):
+            apply_overrides(builtin_presets()["ex1"], {"seed": "1.5"})
 
 
 @pytest.fixture(scope="module")

@@ -128,16 +128,6 @@ class TestAnalyze:
 
 
 class TestWeightOperator:
-    def test_symmetric_case_apply(self):
-        sd = spectral_data_from_matrix(np.array([[1.0, 1.0]]))
-        np.testing.assert_allclose(np.array([1.0, 0.0]) * sd.p_norms, [1 / np.sqrt(2), 0.0])
-
-    def test_round_trip(self, crime8):
-        *_, sd = crime8
-        rng = np.random.default_rng(24)
-        c = rng.standard_normal(len(sd.p_norms))
-        np.testing.assert_allclose(c * sd.p_norms / sd.p_norms, c, atol=1e-14)
-
     def test_full_rank_gives_identity_weights(self):
         A = np.eye(3)
         sd = spectral_data_from_matrix(A)
