@@ -3,7 +3,8 @@
 Synthetic boundary data is generated on a fine mesh, restricted to the
 coarse (inversion) mesh through the nested-node injection, optionally
 perturbed by seeded Gaussian noise, and inverted by the requested
-methods. Runs are bit-reproducible for a fixed configuration.
+methods. The fine mesh, system and basis live only while the data are
+synthesized. Runs are bit-reproducible for a fixed configuration.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from .control_space import (
     source_load,
 )
 from .errors import ConfigError, IllConditioned, NullsrcError
-from .fem import CoefficientField, FemSystem, assemble
-from .mesh import DomainSpec, Mesh, Shape, build_mesh, refine_uniform
+from .fem import CoefficientField, DataSolve, FemSystem, assemble, solve_data
+from .mesh import DomainSpec, Mesh, Shape, build_mesh, prolongation, refine_uniform
 from .solvers import (
     MOROZOV_ALPHA_RANGE,
     MOROZOV_REL_TOL,
@@ -138,6 +139,8 @@ class ExperimentResult:
     s_max: float = 0.0
     s_min: float = 0.0
     s_min_retained: float = 0.0  # smallest singular value above the rank cut
+    rank_cut: float = 0.0  # rank_tol * s_max: singular values above it are retained
+    data_solve: DataSolve | None = None
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
@@ -177,37 +180,33 @@ def validate_config(cfg: ExperimentConfig) -> None:
 
 @dataclass(frozen=True)
 class Setup:
+    """The inversion side of a run; the forward side lives in _synthesize."""
+
     mesh_inv: Mesh
-    mesh_fwd: Mesh
     sys_inv: FemSystem
-    sys_fwd: FemSystem
     basis_inv: ControlBasis
-    basis_fwd: ControlBasis
-    restrict_idx: np.ndarray  # positions in the fine trace of the coarse boundary nodes
 
 
 def build_setup(cfg: ExperimentConfig) -> Setup:
     validate_config(cfg)
-    if cfg.inverse_crime:
-        mesh_inv = mesh_fwd = build_mesh(cfg.domain)
-    else:
-        coarse_spec = DomainSpec(cfg.domain.shape, cfg.domain.nx // 2, cfg.domain.ny // 2)
-        mesh_inv = build_mesh(coarse_spec)
-        mesh_fwd = refine_uniform(mesh_inv)  # coarse nodes keep their indices
-    restrict_idx = np.searchsorted(mesh_fwd.boundary_nodes, mesh_inv.boundary_nodes)
+    domain = cfg.domain
+    if not cfg.inverse_crime:
+        domain = DomainSpec(domain.shape, domain.nx // 2, domain.ny // 2)
+    mesh_inv = build_mesh(domain)
     sys_inv = assemble(mesh_inv, cfg.epsilon, cfg.sigma.materialize(mesh_inv))
-    sys_fwd = (
-        sys_inv
-        if cfg.inverse_crime
-        else assemble(mesh_fwd, cfg.epsilon, cfg.sigma.materialize(mesh_fwd))
-    )
-    basis_inv = build_control_basis(mesh_inv, *cfg.control_dims_inverse)
-    basis_fwd = (
-        basis_inv
-        if cfg.inverse_crime and cfg.control_dims_forward == cfg.control_dims_inverse
-        else build_control_basis(mesh_fwd, *cfg.control_dims_forward)
-    )
-    return Setup(mesh_inv, mesh_fwd, sys_inv, sys_fwd, basis_inv, basis_fwd, restrict_idx)
+    return Setup(mesh_inv, sys_inv, build_control_basis(mesh_inv, *cfg.control_dims_inverse))
+
+
+@dataclass(frozen=True)
+class Synthesis:
+    """Synthetic data on the inversion boundary and the truth on the inversion grid."""
+
+    d: np.ndarray
+    d_noisy: np.ndarray
+    delta: float
+    gamma: float
+    truth_coeffs: np.ndarray  # true source projected onto the inverse control grid
+    data_solve: DataSolve
 
 
 def _true_coefficients(cfg: ExperimentConfig, basis_fwd: ControlBasis) -> np.ndarray:
@@ -240,15 +239,29 @@ def add_noise(d: np.ndarray, kappa: float, seed: int) -> tuple[np.ndarray, float
         return d + delta * rho, delta
 
 
-def _synthesize(
-    cfg: ExperimentConfig, setup: Setup
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
-    """True forward coefficients, clean data, noisy data, delta and the
-    realized discrepancy gamma."""
-    a = _true_coefficients(cfg, setup.basis_fwd)
-    with np.errstate(over="ignore"):  # the check below reports overflow
-        load = source_load(setup.basis_fwd, setup.mesh_fwd, a)
-    d = setup.sys_fwd.solver.solve(load)[setup.sys_fwd.trace_map][setup.restrict_idx]
+def _synthesize(cfg: ExperimentConfig, setup: Setup) -> Synthesis:
+    """Solve for the true source's boundary data on the forward mesh.
+
+    Outside the inverse crime the forward mesh is refine_uniform of the
+    inversion mesh; it, its system and its basis are built here and
+    dropped on return, so a run never holds the fine and coarse sides
+    together past this point.
+    """
+    mesh, sys, coarse, P = setup.mesh_inv, setup.sys_inv, None, None
+    if not cfg.inverse_crime:
+        mesh = refine_uniform(setup.mesh_inv)  # coarse nodes keep their indices
+        sys = assemble(mesh, cfg.epsilon, cfg.sigma.materialize(mesh))
+        coarse, P = setup.sys_inv, prolongation(setup.mesh_inv)
+    basis = (
+        setup.basis_inv
+        if cfg.inverse_crime and cfg.control_dims_forward == cfg.control_dims_inverse
+        else build_control_basis(mesh, *cfg.control_dims_forward)
+    )
+    a = _true_coefficients(cfg, basis)
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports overflow
+        load = source_load(basis, mesh, a)
+        u, data_solve = solve_data(sys, load, coarse, P)
+    d = u[sys.trace_map][np.searchsorted(mesh.boundary_nodes, setup.mesh_inv.boundary_nodes)]
     if not np.isfinite(d).all():
         amplitudes = [amplitude for _, amplitude in cfg.true_source]
         raise ConfigError(f"true-source amplitudes {amplitudes!r} give non-finite boundary data")
@@ -259,14 +272,14 @@ def _synthesize(
         raise ConfigError(
             f"noise level kappa={cfg.noise_kappa!r} gives a non-finite noise norm gamma"
         )
-    return a, d, d_noisy, delta, gamma
+    truth_coeffs = project_cell_function(basis, a, setup.basis_inv)
+    return Synthesis(d, d_noisy, delta, gamma, truth_coeffs, data_solve)
 
 
 def generate_data(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, float]:
     """Synthetic boundary data on the inversion mesh: (d, d_noisy, gamma)."""
-    setup = build_setup(cfg)
-    _, d, d_noisy, _, gamma = _synthesize(cfg, setup)
-    return d, d_noisy, gamma
+    syn = _synthesize(cfg, build_setup(cfg))
+    return syn.d, syn.d_noisy, syn.gamma
 
 
 def _chebyshev_to_truth(
@@ -289,25 +302,24 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     aborting the remaining methods; setup-level failures propagate.
     """
     setup = build_setup(cfg)
-    a_fwd, d, d_noisy, delta, gamma = _synthesize(cfg, setup)
+    syn = _synthesize(cfg, setup)
 
     fm = build_forward_model(setup.sys_inv, setup.basis_inv, setup.mesh_inv)
     sd = analyze(fm, cfg.rank_tol)
-    b_hat = fm.R @ d_noisy
+    b_hat = fm.R @ syn.d_noisy
 
-    truth_coeffs = project_cell_function(setup.basis_fwd, a_fwd, setup.basis_inv)
-    truth_values = coefficients_to_cell_field(setup.basis_inv, truth_coeffs)
+    truth_values = coefficients_to_cell_field(setup.basis_inv, syn.truth_coeffs)
 
     result = ExperimentResult(
         config=cfg,
         basis_inverse=setup.basis_inv,
         boundary_nodes=setup.mesh_inv.boundary_nodes.copy(),
         boundary_xy=setup.mesh_inv.nodes[setup.mesh_inv.boundary_nodes],
-        d=d,
-        d_noisy=d_noisy,
-        delta=delta,
-        gamma=gamma,
-        truth_coeffs=truth_coeffs,
+        d=syn.d,
+        d_noisy=syn.d_noisy,
+        delta=syn.delta,
+        gamma=syn.gamma,
+        truth_coeffs=syn.truth_coeffs,
         truth_values=truth_values,
         w_min=float(sd.p_norms.min()),
         w_max=float(sd.p_norms.max()),
@@ -315,6 +327,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         s_max=float(sd.s[0]),
         s_min=float(sd.s[-1]),
         s_min_retained=float(sd.s[sd.rank - 1]) if sd.rank else 0.0,
+        rank_cut=float(sd.rank_tol * sd.s[0]),
+        data_solve=syn.data_solve,
     )
 
     # an overflowing residual or error norm is reported by the check below
@@ -327,14 +341,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                         fm,
                         sd,
                         b_hat,
-                        gamma,
+                        syn.gamma,
                         method,
                         alpha_range=(cfg.alpha.alpha_min, cfg.alpha.alpha_max),
                         rel_tol=cfg.alpha.rel_tol,
                     )
                 else:
                     solved = solve_method(fm, sd, b_hat, cfg.alpha, method)
-                l2_error = float(np.linalg.norm(solved.coeffs - truth_coeffs))
+                l2_error = float(np.linalg.norm(solved.coeffs - syn.truth_coeffs))
                 norms = {"residual": float(solved.residual), "l2_error": l2_error}
                 bad = [name for name, value in norms.items() if not math.isfinite(value)]
                 if bad:
@@ -506,6 +520,10 @@ def export_result(result: ExperimentResult, out_dir: str | Path) -> Path:
         "s_max": result.s_max,
         "s_min": result.s_min,
         "s_min_retained": result.s_min_retained,
+        "rank_cut": result.rank_cut,
+        "data_solve": {
+            key: value for key, value in vars(result.data_solve).items() if value is not None
+        },
         "methods": methods_manifest,
     }
     try:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+import scipy.sparse
 
 from .errors import InvalidSpec
 
@@ -139,6 +140,20 @@ def build_mesh(spec: DomainSpec) -> Mesh:
     )
 
 
+def _unique_edges(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Undirected edges of a mesh, sorted by (min, max) node.
+
+    Returns their lower and higher end nodes and, for every directed
+    triangle edge of _edges, the index of its undirected edge. Edge e
+    becomes node n_nodes + e of refine_uniform(mesh).
+    """
+    n = mesh.n_nodes
+    _, _, keys = _edges(np.asarray(mesh.triangles, dtype=np.int64), n)
+    edge_keys, edge_of = np.unique(keys, return_inverse=True)
+    lo, hi = np.divmod(edge_keys, n)
+    return lo, hi, edge_of
+
+
 def refine_uniform(mesh: Mesh) -> Mesh:
     """Split every triangle into four via edge midpoints.
 
@@ -146,13 +161,10 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     the first n_coarse fine nodes are the coarse ones.
     """
     n_coarse = mesh.n_nodes
-    tris = np.asarray(mesh.triangles, dtype=np.int64)
-    _, _, keys = _edges(tris, n_coarse)
-    edge_keys, edge_of = np.unique(keys, return_inverse=True)  # sorted (min, max)
-    lo, hi = np.divmod(edge_keys, n_coarse)
+    lo, hi, edge_of = _unique_edges(mesh)
     fine_nodes = np.vstack([mesh.nodes, 0.5 * (mesh.nodes[lo] + mesh.nodes[hi])])
 
-    a, b, c = tris.T
+    a, b, c = np.asarray(mesh.triangles, dtype=np.int64).T
     mab, mbc, mca = (n_coarse + edge_of.reshape(-1, 3)).T
     tri_arr = np.column_stack(
         [a, mab, mca, mab, b, mbc, mca, mbc, c, mab, mbc, mca]
@@ -164,3 +176,19 @@ def refine_uniform(mesh: Mesh) -> Mesh:
         boundary_edges=bedges,
         boundary_nodes=bnodes,
     )
+
+
+def prolongation(coarse: Mesh) -> scipy.sparse.csr_matrix:
+    """Nested P1 interpolation from coarse nodes to refine_uniform(coarse).
+
+    A sparse (n_fine, n_coarse) matrix: coarse nodes keep their values and
+    every edge midpoint takes half the value of each end, so affine
+    functions are reproduced exactly and every row sums to one.
+    """
+    n = coarse.n_nodes
+    lo, hi, _ = _unique_edges(coarse)
+    mid = n + np.arange(lo.size)
+    rows = np.concatenate([np.arange(n), mid, mid])
+    cols = np.concatenate([np.arange(n), lo, hi])
+    vals = np.concatenate([np.ones(n), np.full(2 * lo.size, 0.5)])
+    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n + lo.size, n))

@@ -180,7 +180,7 @@ def check_method_iii_consistency(
             ref = np.linalg.lstsq(stacked, np.concatenate([b, np.zeros(n)]), rcond=None)[0]
             worst = max(worst, float(np.linalg.norm(z - ref) / np.linalg.norm(ref)))
     return CheckResult(
-        "method III equals rescaled method II",
+        "weighted-penalty solve matches stacked lstsq",
         worst <= 1e-10,
         f"worst relative gap {worst:.2e} over alphas {list(alphas)} (tol 1e-10)",
     )

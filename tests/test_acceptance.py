@@ -233,7 +233,7 @@ def test_criterion_07_noise_model():
 
 def test_criterion_08_method3_consistency():
     result = check_method_iii_consistency(np.random.default_rng(1008), trials=10)
-    report("criterion 8 (method III equals rescaled method II)", result.passed, result.detail)
+    report("criterion 8 (weighted-penalty solve matches stacked lstsq)", result.passed, result.detail)
     assert result.passed
 
 

@@ -1,14 +1,18 @@
 """Command-line interface tests (direct main() invocations)."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 
 import nullsrc.cli
+import nullsrc.experiments
 from nullsrc import ConfigError, SingularState, _blas
 from nullsrc.cli import main
 from nullsrc.experiments import builtin_presets, config_to_dict, export_result, run_experiment
@@ -65,6 +69,40 @@ def test_usage_error_exits_2():
     assert main([]) == 2
 
 
+# sha256 of `nullsrc spectrum --preset P` output from before the spectrum
+# stopped building the forward (fine) side, recorded with numpy 2.4.6 and
+# scipy 1.17.1; other builds may round the SVD differently
+SPECTRUM_SHA256 = {
+    "ex3": "517e32f927242792750610d8df21b7b4dc44924219fd514b5bc7de6006aa0882",
+    "ex5a": "dee7a16c44904892a3611af14ebd4e3e4c4934c530dd08bb1bfbec839ccf02eb",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(SPECTRUM_SHA256))
+def test_spectrum_builds_only_the_inversion_side(capsys, monkeypatch, preset):
+    built = []
+
+    def refuse(mesh):
+        raise AssertionError("spectrum refined the inversion mesh")
+
+    def counting(function):
+        def wrapper(*args, **kwargs):
+            built.append(function.__name__)
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(nullsrc.experiments, "refine_uniform", refuse)
+    for name in ("assemble", "build_control_basis"):
+        monkeypatch.setattr(nullsrc.experiments, name, counting(getattr(nullsrc.experiments, name)))
+    assert main(["spectrum", "--preset", preset]) == 0
+    assert built == ["assemble", "build_control_basis"]
+    if (np.__version__, scipy.__version__) != ("2.4.6", "1.17.1"):
+        pytest.skip("output digests were recorded with numpy 2.4.6 and scipy 1.17.1")
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == SPECTRUM_SHA256[preset]
+
+
 def test_spectrum_outputs_json(capsys):
     assert main(["spectrum", "--preset", "ex1"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -86,6 +124,44 @@ def test_solver_error_exits_1(tmp_path, capsys):
     code = main(["preset", "ex1", "--out", str(out), "--override", "epsilon=0"])
     assert code == 1
     assert "SingularState" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("epsilon", ["0", "1e-14"])
+def test_near_neumann_nested_run_exits_1(tmp_path, capsys, epsilon):
+    # for epsilon > 0 the fine data solve is CG, so the coarse factor's
+    # pivot check must catch the near-singular state
+    code = main(["preset", "ex5a", "--out", str(tmp_path / "o"), "--override", f"epsilon={epsilon}"])
+    assert code == 1
+    assert "SingularState" in capsys.readouterr().err
+
+
+def test_manifest_names_the_data_solve_and_rank_cut(tmp_path):
+    manifests = {}
+    for preset in ("ex1", "ex5a", "ex7b"):
+        assert main(["preset", preset, "--out", str(tmp_path / preset)]) == 0
+        manifests[preset] = json.loads((tmp_path / preset / "manifest.json").read_text())
+    assert manifests["ex1"]["data_solve"] == {"method": "splu", "iterations": 0}
+    assert manifests["ex7b"]["data_solve"] == {"method": "splu", "iterations": 0}
+    assert manifests["ex5a"]["data_solve"]["method"] == "two_grid_cg"
+    assert 0 < manifests["ex5a"]["data_solve"]["iterations"] <= 50
+    for m in manifests.values():
+        assert m["rank_cut"] == m["config"]["rank_tol"] * m["s_max"]
+        assert m["s_min_retained"] > m["rank_cut"]
+
+
+def test_strongly_anisotropic_run_falls_back_to_lu(tmp_path):
+    # two-grid CG with point-Jacobi smoothing needs hundreds of iterations
+    # here; the run still succeeds and its manifest says why LU solved it
+    data = config_to_dict(builtin_presets()["ex4"])
+    data["sigma"] = {"kind": "affine", "kappa1": [1.0, 100.0, 0.0], "kappa2": [0.01, 0.0, 0.0]}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(data))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    solve = manifest["data_solve"]
+    assert solve["method"] == "splu" and solve["iterations"] == 50
+    assert "50 iterations" in solve["fallback"]
+    assert all("error" not in entry for entry in manifest["methods"].values())
 
 
 def test_huge_noise_level_exits_2_without_manifest(tmp_path, capsys):

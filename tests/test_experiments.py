@@ -53,9 +53,12 @@ class TestGenerateData:
 
     def test_restriction_is_nodal_injection(self):
         # coarse boundary values must equal the fine solution at the
-        # coincident nodes, located independently by coordinate matching
+        # coincident nodes, located independently by coordinate matching;
+        # the fine solution comes from the same data-solve entry point
         from nullsrc import assemble, build_mesh, refine_uniform
         from nullsrc.control_space import build_control_basis, control_load_matrix
+        from nullsrc.fem import solve_data
+        from nullsrc.mesh import prolongation
 
         cfg = crime_cfg(
             domain=DomainSpec(Shape.UNIT_SQUARE, 16, 16),
@@ -71,7 +74,9 @@ class TestGenerateData:
         basis_f = build_control_basis(fine, 8, 8)
         a = np.zeros(64)
         a[34] = 1.0
-        u = sys_f.solver.solve(control_load_matrix(basis_f, fine) @ a)
+        sys_c = assemble(coarse, cfg.epsilon)
+        load = control_load_matrix(basis_f, fine) @ a
+        u, _ = solve_data(sys_f, load, sys_c, prolongation(coarse))
         d_fine = u[sys_f.trace_map]
         fine_xy = {tuple(xy): i for i, xy in enumerate(fine.nodes[fine.boundary_nodes])}
         for k, node in enumerate(coarse.boundary_nodes):
@@ -159,8 +164,17 @@ class TestRunExperiment:
         # argmax near one of the two opposite corner cells
         assert res.outcomes["method_iii"].argmax_chebyshev <= 1
 
-    @pytest.mark.parametrize("inverse_crime, factors", [(True, 1), (False, 2)])
+    @pytest.mark.parametrize("inverse_crime, factors", [(True, 1), (False, 1)])
     def test_one_factorization_per_system(self, monkeypatch, inverse_crime, factors):
+        # with epsilon > 0 the nested fine data solve runs CG on the coarse factor
+        self._check_factor_count(monkeypatch, factors, inverse_crime=inverse_crime)
+
+    def test_indefinite_nested_run_factors_both_systems(self, monkeypatch):
+        # epsilon < 0: the fine state matrix is indefinite and gets its own LU
+        self._check_factor_count(monkeypatch, 2, inverse_crime=False, epsilon=-1.0)
+
+    @staticmethod
+    def _check_factor_count(monkeypatch, factors, **overrides):
         calls = []
         original = nullsrc.fem.StateSolver
 
@@ -170,13 +184,14 @@ class TestRunExperiment:
 
         monkeypatch.setattr(nullsrc.fem, "StateSolver", counting)
         cfg = crime_cfg(
-            inverse_crime=inverse_crime,
             control_dims_forward=(4, 4),
             control_dims_inverse=(4, 4),
             true_source=((5, 1.0),),
+            **overrides,
         )
         run_experiment(cfg)
         assert len(calls) == factors
+        assert len({id(sys) for sys in calls}) == factors
 
     def test_s_min_retained_is_last_value_above_rank_cut(self):
         from nullsrc import analyze, build_forward_model

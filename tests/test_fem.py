@@ -16,7 +16,10 @@ from nullsrc import (
     assemble,
     build_mesh,
 )
-from nullsrc.fem import StateSolver
+from nullsrc.control_space import build_control_basis, source_load
+from nullsrc.experiments import build_setup, builtin_presets
+from nullsrc.fem import StateSolver, solve_data
+from nullsrc.mesh import prolongation, refine_uniform
 
 
 @pytest.fixture(scope="module")
@@ -157,6 +160,40 @@ class TestSolveState:
         _, sys = square3
         with pytest.raises(ValueError):
             sys.solver.solve(np.zeros(3))
+
+
+class TestSolveData:
+    @staticmethod
+    def fine_problem(preset):
+        cfg = builtin_presets()[preset]
+        setup = build_setup(cfg)
+        fine = refine_uniform(setup.mesh_inv)
+        sys = assemble(fine, cfg.epsilon, cfg.sigma.materialize(fine))
+        basis = build_control_basis(fine, *cfg.control_dims_forward)
+        a = np.zeros(basis.n)
+        for cell, amplitude in cfg.true_source:
+            a[cell] += amplitude
+        return setup, sys, source_load(basis, fine, a)
+
+    @pytest.mark.parametrize("preset", ["ex4", "ex2"])  # affine sigma, L-shape
+    def test_two_grid_cg_trace_matches_direct_solve(self, preset):
+        setup, sys, load = self.fine_problem(preset)
+        u, how = solve_data(sys, load, setup.sys_inv, prolongation(setup.mesh_inv))
+        assert how.method == "two_grid_cg" and 0 < how.iterations <= 50
+        assert how.fallback is None
+        direct = sys.solver.solve(load)[sys.trace_map]
+        gap = np.linalg.norm(u[sys.trace_map] - direct) / np.linalg.norm(direct)
+        assert gap <= 1e-9
+
+    def test_without_coarse_system_or_positive_epsilon_uses_lu(self):
+        mesh = build_mesh(DomainSpec(Shape.UNIT_SQUARE, 4, 4))
+        fine = refine_uniform(mesh)
+        load = np.random.default_rng(14).standard_normal(fine.n_nodes)
+        for eps, coarse in [(1e-3, None), (-1.0, assemble(mesh, -1.0))]:
+            sys = assemble(fine, eps)
+            u, how = solve_data(sys, load, coarse, prolongation(mesh))
+            assert how.method == "splu" and how.iterations == 0 and how.fallback is None
+            assert np.array_equal(u, sys.solver.solve(load))
 
 
 class TestTrace:

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from nullsrc import DomainSpec, InvalidSpec, Shape, build_mesh, refine_uniform
-from nullsrc.mesh import Mesh, _boundary_structure, triangle_areas
+from nullsrc.mesh import Mesh, _boundary_structure, prolongation, triangle_areas
 
 
 def boundary_length(mesh):
@@ -208,3 +209,29 @@ class TestRefineUniform:
         twice = refine_uniform(once)
         assert twice.n_nodes == 81
         assert triangle_areas(twice).min() > 0
+
+
+class TestProlongation:
+    @pytest.mark.parametrize(
+        "spec",
+        [DomainSpec(Shape.UNIT_SQUARE, 8, 8), DomainSpec(Shape.L_SHAPE, 8, 4)],
+        ids=["square", "lshape"],
+    )
+    def test_reproduces_affine_functions(self, spec):
+        # integer coefficients on a dyadic grid: every value is exact in
+        # floating point, so interpolation must match to the bit
+        coarse = build_mesh(spec)
+        fine = refine_uniform(coarse)
+        P = prolongation(coarse)
+        assert P.shape == (fine.n_nodes, coarse.n_nodes)
+        for c0, cx, cy in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (3, -2, 5)]:
+            (xc, yc), (xf, yf) = coarse.nodes.T, fine.nodes.T
+            assert np.array_equal(P @ (c0 + cx * xc + cy * yc), c0 + cx * xf + cy * yf)
+
+    def test_rows_sum_to_one_and_coarse_nodes_are_injected(self):
+        coarse = build_mesh(DomainSpec(Shape.L_SHAPE, 6, 6))
+        P = prolongation(coarse)
+        assert np.array_equal(np.asarray(P.sum(axis=1)).ravel(), np.ones(P.shape[0]))
+        n = coarse.n_nodes
+        assert (P[:n] != scipy.sparse.eye(n)).nnz == 0
+        assert np.array_equal(np.diff(P.indptr)[n:], np.full(P.shape[0] - n, 2))
