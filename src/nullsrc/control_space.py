@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .errors import IncompatibleGrids, LengthMismatch
 from .mesh import Mesh, triangle_areas
@@ -107,19 +108,20 @@ def build_control_basis(mesh: Mesh, mx: int, my: int) -> ControlBasis:
     )
 
 
-def control_load_matrix(basis: ControlBasis, mesh: Mesh) -> np.ndarray:
-    """Load matrix M_cf with column i the P1 load vector of phi_i.
+def control_load_matrix(basis: ControlBasis, mesh: Mesh) -> scipy.sparse.csc_matrix:
+    """Sparse (CSC) load matrix M_cf with column i the P1 load vector of phi_i.
 
     Column entries are integral(phi_i * lambda_k); phi_i is constant on
     each triangle, so every triangle in cell i contributes
-    scale_i * area_T / 3 to each of its three vertices (exact).
+    scale_i * area_T / 3 to each of its three vertices (exact). The
+    matrix is built from those triplets, three per triangle.
     """
-    tri_area = triangle_areas(mesh)
-    M_cf = np.zeros((mesh.n_nodes, basis.n))
-    contrib = basis.scale[basis.triangle_cells] * tri_area / 3.0
-    for k in range(3):
-        np.add.at(M_cf, (mesh.triangles[:, k], basis.triangle_cells), contrib)
-    return M_cf
+    contrib = basis.scale[basis.triangle_cells] * triangle_areas(mesh) / 3.0
+    rows = mesh.triangles.T.ravel()
+    cols = np.tile(basis.triangle_cells, 3)
+    return scipy.sparse.csc_matrix(
+        (np.tile(contrib, 3), (rows, cols)), shape=(mesh.n_nodes, basis.n)
+    )
 
 
 def source_load(basis: ControlBasis, mesh: Mesh, coeffs: np.ndarray) -> np.ndarray:

@@ -30,6 +30,7 @@ from .mesh import Mesh, triangle_areas
 PIVOT_TOL = 1e-12
 CG_RTOL = 1e-12
 CG_MAXITER = 50  # the presets need 16; strong anisotropy needs hundreds
+CG_CHECK_AT = 10  # iteration at which CG stops if its pace cannot meet CG_RTOL
 JACOBI_OMEGA = 0.6
 
 
@@ -186,6 +187,10 @@ class DataSolve:
     fallback: str | None = None  # why a CG attempt gave way to splu
 
 
+class _Stalled(Exception):
+    """Raised from CG's callback to stop an iteration that cannot converge in time."""
+
+
 def solve_data(
     sys: FemSystem,
     load: np.ndarray,
@@ -199,6 +204,9 @@ def solve_data(
     two-grid cycle: damped Jacobi, the coarse correction P S_c^-1 P^T r
     through coarse.solver, then Jacobi again. Otherwise, or when CG misses
     CG_RTOL within CG_MAXITER iterations, sys.solver (sparse LU) solves it.
+    CG also gives up after CG_CHECK_AT iterations when its true relative
+    residual r there, continued at the same rate to CG_MAXITER iterations
+    (r^(CG_MAXITER / CG_CHECK_AT)), would still exceed CG_RTOL.
     """
     if coarse is None or sys.epsilon <= 0:
         return sys.solver.solve(load), DataSolve("splu")
@@ -212,20 +220,32 @@ def solve_data(
         return x
 
     iterations = 0
+    b_norm = np.linalg.norm(load)
 
-    def count(_) -> None:
+    def count(x: np.ndarray) -> None:
         nonlocal iterations
         iterations += 1
+        if iterations == CG_CHECK_AT:
+            rel = np.linalg.norm(load - S @ x) / b_norm
+            if rel ** (CG_MAXITER / CG_CHECK_AT) > CG_RTOL:
+                raise _Stalled(rel)
 
-    u, info = scipy.sparse.linalg.cg(
-        S,
-        load,
-        rtol=CG_RTOL,
-        atol=0.0,
-        maxiter=CG_MAXITER,
-        M=scipy.sparse.linalg.LinearOperator(S.shape, matvec=two_grid, dtype=np.float64),
-        callback=count,
-    )
+    try:
+        u, info = scipy.sparse.linalg.cg(
+            S,
+            load,
+            rtol=CG_RTOL,
+            atol=0.0,
+            maxiter=CG_MAXITER,
+            M=scipy.sparse.linalg.LinearOperator(S.shape, matvec=two_grid, dtype=np.float64),
+            callback=count,
+        )
+    except _Stalled as stall:
+        reason = (
+            f"two-grid CG stalled at relative residual {stall.args[0]:.2g} after "
+            f"{CG_CHECK_AT} iterations; that pace misses rtol {CG_RTOL:g} in {CG_MAXITER}"
+        )
+        return sys.solver.solve(load), DataSolve("splu", iterations, reason)
     if info == 0:
         return u, DataSolve("two_grid_cg", iterations)
     reason = f"two-grid CG missed rtol {CG_RTOL:g} in {CG_MAXITER} iterations"

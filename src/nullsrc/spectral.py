@@ -70,13 +70,24 @@ class SpectralData:
 
 
 def build_forward_model(sys: FemSystem, basis: ControlBasis, mesh: Mesh) -> ForwardModel:
-    """Assemble A from one solve of all basis loads against the system's factor.
+    """Assemble A with one sparse solve per boundary node or per control, whichever is fewer.
 
-    The factor and R are the ones cached on sys, so data synthesis on the
+    A = E_b^T S^-1 M_cf, where E_b holds one unit column per boundary
+    node. S = K_sigma + epsilon*M is symmetric, so A = (M_cf^T S^-1 E_b)^T
+    too: with fewer boundary nodes than controls, the factor solves the
+    unit columns and M_cf^T maps the solutions to A; otherwise it solves
+    the dense basis loads and the trace keeps their boundary rows. The
+    factor and R are the ones cached on sys, so data synthesis on the
     same system reuses them instead of factoring again.
     """
     M_cf = control_load_matrix(basis, mesh)
-    A = sys.solver.solve(M_cf)[sys.trace_map, :]
+    n_boundary = len(sys.trace_map)
+    if n_boundary < basis.n:
+        E_b = np.zeros((sys.n_nodes, n_boundary), order="F")
+        E_b[sys.trace_map, np.arange(n_boundary)] = 1.0
+        A = (M_cf.T @ sys.solver.solve(E_b)).T
+    else:
+        A = sys.solver.solve(M_cf.toarray())[sys.trace_map]
     return ForwardModel(A=A, R=sys.R, A_hat=sys.R @ A)
 
 

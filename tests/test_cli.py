@@ -69,13 +69,18 @@ def test_usage_error_exits_2():
     assert main([]) == 2
 
 
-# sha256 of `nullsrc spectrum --preset P` output from before the spectrum
-# stopped building the forward (fine) side, recorded with numpy 2.4.6 and
-# scipy 1.17.1; other builds may round the SVD differently
+# sha256 of `nullsrc spectrum --preset P` output, recorded with numpy 2.4.6
+# and scipy 1.17.1; other builds may round the SVD differently. The digests
+# were re-recorded when build_forward_model began solving one unit column
+# per boundary node (128 here) instead of one load per control (256): that
+# sums A in another order, so the JSON moves in its last digits.
+# spectrum_reference.json keeps the numbers of the per-control build, and
+# the test holds the new output to them.
 SPECTRUM_SHA256 = {
-    "ex3": "517e32f927242792750610d8df21b7b4dc44924219fd514b5bc7de6006aa0882",
-    "ex5a": "dee7a16c44904892a3611af14ebd4e3e4c4934c530dd08bb1bfbec839ccf02eb",
+    "ex3": "01f7b8eea5f51c71820e4f37ff2c193860c259bf5c63510ffe1d62b87a13ba78",
+    "ex5a": "93ea61e0b4b427e480607cd9f434f5265c07f05dbb799c629c60880958ab5359",
 }
+SPECTRUM_REFERENCE = json.loads((Path(__file__).parent / "spectrum_reference.json").read_text())
 
 
 @pytest.mark.parametrize("preset", sorted(SPECTRUM_SHA256))
@@ -97,10 +102,14 @@ def test_spectrum_builds_only_the_inversion_side(capsys, monkeypatch, preset):
         monkeypatch.setattr(nullsrc.experiments, name, counting(getattr(nullsrc.experiments, name)))
     assert main(["spectrum", "--preset", preset]) == 0
     assert built == ["assemble", "build_control_basis"]
+    out = capsys.readouterr().out
+    data, reference = json.loads(out), SPECTRUM_REFERENCE[preset]
+    assert data["rank"] == reference["rank"]
+    retained = np.array(reference["retained_singular_values"])
+    np.testing.assert_allclose(data["singular_values"][: data["rank"]], retained, rtol=1e-9, atol=0)
     if (np.__version__, scipy.__version__) != ("2.4.6", "1.17.1"):
         pytest.skip("output digests were recorded with numpy 2.4.6 and scipy 1.17.1")
-    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == SPECTRUM_SHA256[preset]
+    assert hashlib.sha256(out.encode()).hexdigest() == SPECTRUM_SHA256[preset]
 
 
 def test_spectrum_outputs_json(capsys):
@@ -149,19 +158,30 @@ def test_manifest_names_the_data_solve_and_rank_cut(tmp_path):
         assert m["s_min_retained"] > m["rank_cut"]
 
 
-def test_strongly_anisotropic_run_falls_back_to_lu(tmp_path):
-    # two-grid CG with point-Jacobi smoothing needs hundreds of iterations
-    # here; the run still succeeds and its manifest says why LU solved it
+def _run_ex4_with_sigma(tmp_path, kappa1, kappa2):
     data = config_to_dict(builtin_presets()["ex4"])
-    data["sigma"] = {"kind": "affine", "kappa1": [1.0, 100.0, 0.0], "kappa2": [0.01, 0.0, 0.0]}
+    data["sigma"] = {"kind": "affine", "kappa1": kappa1, "kappa2": kappa2}
     config = tmp_path / "config.json"
     config.write_text(json.dumps(data))
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
-    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    return json.loads((tmp_path / "o" / "manifest.json").read_text())
+
+
+def test_strongly_anisotropic_run_falls_back_to_lu(tmp_path):
+    # two-grid CG with point-Jacobi smoothing needs hundreds of iterations
+    # here; it gives up at its early check, the run still succeeds and its
+    # manifest says why LU solved it
+    manifest = _run_ex4_with_sigma(tmp_path, [1.0, 100.0, 0.0], [0.01, 0.0, 0.0])
     solve = manifest["data_solve"]
-    assert solve["method"] == "splu" and solve["iterations"] == 50
-    assert "50 iterations" in solve["fallback"]
+    assert solve["method"] == "splu" and solve["iterations"] <= 10
+    assert "stalled" in solve["fallback"]
     assert all("error" not in entry for entry in manifest["methods"].values())
+
+
+def test_tenfold_anisotropy_still_converges_by_cg(tmp_path):
+    manifest = _run_ex4_with_sigma(tmp_path, [1.0, 0.0, 0.0], [0.1, 0.0, 0.0])
+    assert manifest["data_solve"]["method"] == "two_grid_cg"
+    assert "fallback" not in manifest["data_solve"]
 
 
 def test_huge_noise_level_exits_2_without_manifest(tmp_path, capsys):

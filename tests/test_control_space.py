@@ -67,7 +67,7 @@ class TestBuildControlBasis:
 class TestControlLoadMatrix:
     def test_column_sums_are_sqrt_area(self, square8):
         mesh, sys, basis = square8
-        M_cf = control_load_matrix(basis, mesh)
+        M_cf = control_load_matrix(basis, mesh).toarray()
         np.testing.assert_allclose(M_cf.sum(axis=0), np.sqrt(basis.areas), rtol=1e-12)
 
     def test_constant_function_consistency(self, square8):
@@ -90,7 +90,7 @@ class TestControlLoadMatrix:
         # exact for the linear integrand phi * lambda_k
         mesh = build_mesh(DomainSpec(Shape.UNIT_SQUARE, 1, 1))
         basis = build_control_basis(mesh, 1, 1)
-        M_cf = control_load_matrix(basis, mesh)
+        M_cf = control_load_matrix(basis, mesh).toarray()
         oracle = np.zeros(mesh.n_nodes)
         for tri in mesh.triangles:
             p = mesh.nodes[tri]

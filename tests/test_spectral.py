@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import nullsrc.fem
 from nullsrc import (
     DegenerateBasis,
     DomainSpec,
@@ -16,6 +17,8 @@ from nullsrc import (
     optimal_scalar_weight,
     spectral_data_from_matrix,
 )
+from nullsrc.control_space import control_load_matrix
+from nullsrc.experiments import build_setup, builtin_presets
 from nullsrc.spectral import RANK_TOL_REL, numerical_rank
 from nullsrc.verify import random_rank_deficient
 
@@ -52,12 +55,81 @@ class TestForwardModel:
 
     def test_column_against_dense_solve(self, crime8):
         mesh, sys, basis, fm, _ = crime8
-        from nullsrc.control_space import control_load_matrix
-
-        M_cf = control_load_matrix(basis, mesh)
+        M_cf = control_load_matrix(basis, mesh).toarray()
         j = 19
         u = np.linalg.solve(sys.S.toarray(), M_cf[:, j])
         np.testing.assert_allclose(fm.A[:, j], u[sys.trace_map], atol=1e-12)
+
+
+def _system(shape, cells, controls, epsilon):
+    mesh = build_mesh(DomainSpec(shape, cells, cells))
+    return mesh, assemble(mesh, epsilon), build_control_basis(mesh, controls, controls)
+
+
+def _ex4_system():
+    setup = build_setup(builtin_presets()["ex4"])
+    return setup.mesh_inv, setup.sys_inv, setup.basis_inv
+
+
+# (name, system factory, boundary nodes, controls): the first three solve
+# per boundary node, the last two per control
+BUILD_CASES = [
+    ("square32-16-eps1e-3", lambda: _system(Shape.UNIT_SQUARE, 32, 16, 1e-3), 128, 256),
+    ("square32-16-eps-100", lambda: _system(Shape.UNIT_SQUARE, 32, 16, -100.0), 128, 256),
+    ("ex4-affine-sigma", _ex4_system, 128, 256),
+    ("square32-8", lambda: _system(Shape.UNIT_SQUARE, 32, 8, 1e-3), 128, 64),
+    ("lshape16-8", lambda: _system(Shape.L_SHAPE, 16, 8, 1e-3), 64, 48),
+]
+
+
+@pytest.fixture
+def solve_cols(monkeypatch):
+    """Column counts of the StateSolver.solve calls made during the test."""
+    cols = []
+    solve = nullsrc.fem.StateSolver.solve
+
+    def counting(solver, load):
+        cols.append(np.shape(load)[1])
+        return solve(solver, load)
+
+    monkeypatch.setattr(nullsrc.fem.StateSolver, "solve", counting)
+    return cols
+
+
+class TestForwardBuild:
+    """Both sides of the build agree with a dense solve of every control load."""
+
+    @pytest.fixture(scope="class", params=BUILD_CASES, ids=[case[0] for case in BUILD_CASES])
+    def case(self, request):
+        _, factory, n_boundary, n_controls = request.param
+        mesh, sys, basis = factory()
+        return mesh, sys, basis, n_boundary, n_controls
+
+    def test_matches_per_control_and_dense_solves(self, case, solve_cols):
+        mesh, sys, basis, n_boundary, n_controls = case
+        assert (len(sys.trace_map), basis.n) == (n_boundary, n_controls)
+        A = build_forward_model(sys, basis, mesh).A
+        assert solve_cols == [min(n_boundary, n_controls)]
+        M_cf = control_load_matrix(basis, mesh).toarray()
+        # the same factor on every control load: equal up to rounding
+        per_control = sys.solver.solve(M_cf)[sys.trace_map]
+        assert np.linalg.norm(A - per_control) <= 1e-12 * np.linalg.norm(per_control)
+        # an independent dense LU is itself only good to about eps * cond(S)
+        S = sys.S.toarray()
+        dense = np.linalg.solve(S, M_cf)[sys.trace_map]
+        tol = np.finfo(float).eps * np.linalg.cond(S)
+        assert np.linalg.norm(A - dense) <= tol * np.linalg.norm(dense)
+
+    def test_state_matrix_is_exactly_symmetric(self, case):
+        # the boundary-side build relies on S = S^T
+        _, sys, *_ = case
+        assert (sys.S - sys.S.T).nnz == 0
+
+    @pytest.mark.parametrize("preset, cols", [("ex5a", 128), ("ex1", 64)])
+    def test_preset_build_solves_the_smaller_side(self, solve_cols, preset, cols):
+        setup = build_setup(builtin_presets()[preset])
+        build_forward_model(setup.sys_inv, setup.basis_inv, setup.mesh_inv)
+        assert solve_cols == [cols]
 
 
 class TestAnalyze:
