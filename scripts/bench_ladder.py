@@ -2,8 +2,8 @@
 
 Run from the repository root:
 
-    python scripts/bench_ladder.py --label change --out BENCH_11.json
-    python scripts/bench_ladder.py --label parent --src OTHER_CHECKOUT/src --out BENCH_11.json
+    python scripts/bench_ladder.py --label change --out BENCH_<n>.json
+    python scripts/bench_ladder.py --label parent --src OTHER_CHECKOUT/src --out BENCH_<n>.json
 
 Each rung is `run_experiment` on the ex5a preset with an n x n-cell fine
 mesh (so an n/2 x n/2 inversion mesh), in a fresh Python process whose
@@ -63,7 +63,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="name of this ladder, e.g. parent or change")
     parser.add_argument("--src", type=Path, default=root / "src", help="directory holding nullsrc")
-    parser.add_argument("--out", type=Path, default=root / "BENCH_11.json")
+    parser.add_argument("--out", type=Path, required=True, help="JSON file to add the ladder to")
     args = parser.parse_args(argv)
 
     rungs = []

@@ -48,13 +48,6 @@ class SolveResult:
     argmax_tieset: tuple[int, ...]
 
 
-def _argmax_tieset(coeffs: np.ndarray, tol: float = ARGMAX_TIE_TOL) -> tuple[int, tuple[int, ...]]:
-    if not np.isfinite(coeffs).all():
-        raise IllConditioned("solution coefficients are not all finite")
-    ties = np.flatnonzero(coeffs >= coeffs.max() - tol).tolist()
-    return ties[0], tuple(ties)
-
-
 def _gains(s: np.ndarray, alpha: float, rank: int | None = None) -> np.ndarray:
     """Filter factors s/(s^2+alpha); alpha = 0 inverts the leading `rank` s only."""
     if alpha > 0:
@@ -78,15 +71,13 @@ def _residual(c: np.ndarray, s: np.ndarray, alpha: float, floor: float, rank: in
     return math.hypot(np.linalg.norm(g * c), floor)
 
 
-def _filter(svd: Svd, b: np.ndarray, alpha: float, rank: int | None = None) -> tuple[np.ndarray, float]:
-    """Minimizer of |M x - b|^2 + alpha |x|^2 for M = U diag(s) V^T, and |M x - b|.
-
-    x = V diag(f) U^T b; alpha = 0 is the pseudo-inverse over the leading
-    `rank` triplets.
-    """
+def _filter(svd: Svd, b: np.ndarray, alpha: float, rank: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Minimizer x of |M x - b|^2 + alpha |x|^2 for M = U diag(s) V^T, and c = U^T b;
+    b is (m,) or (m, k), solved column by column, and alpha = 0 is the pseudo-inverse
+    over the leading `rank` triplets."""
     U, s, V = svd
     c = U.T @ b
-    return V @ (_gains(s, alpha, rank) * c), _residual(c, s, alpha, np.linalg.norm(b - U @ c), rank)
+    return V @ (_gains(s, alpha, rank) * c.T).T, c  # c.T: the gains scale the rows of a 2-D c
 
 
 def tikhonov(
@@ -111,17 +102,31 @@ def tikhonov(
 def min_norm_lsq(
     A_hat: np.ndarray, b_hat: np.ndarray, rank_tol_rel: float = RANK_TOL_REL
 ) -> np.ndarray:
-    """Minimum-norm least-squares solution via the truncated-SVD pseudo-inverse;
-    one SVD serves every column of a 2-D b_hat."""
-    U, s, V = thin_svd(np.asarray(A_hat, dtype=np.float64))
-    c = U.T @ np.asarray(b_hat, dtype=np.float64)
-    gains = _gains(s, 0.0, numerical_rank(s, rank_tol_rel))
-    return V @ (gains * c.T).T  # c.T: the gains scale the rows of a 2-D c
+    """Minimum-norm least squares by the truncated-SVD pseudo-inverse, from an SVD of its
+    own (no SpectralData); one SVD serves every column of a 2-D b_hat."""
+    svd = thin_svd(np.asarray(A_hat, dtype=np.float64))
+    return _filter(svd, np.asarray(b_hat, dtype=np.float64), 0.0, numerical_rank(svd[1], rank_tol_rel))[0]
 
 
 def _operator_svd(sd: SpectralData, method: Method) -> Svd:
     """Stored SVD of the operator a method inverts: A_hat W^{-1} for II and III."""
     return sd.weighted_svd if method in (Method.METHOD_II, Method.METHOD_III) else (sd.U, sd.s, sd.V)
+
+
+def _method_filter(sd: SpectralData, b: np.ndarray, alpha: float, method: Method) -> tuple[np.ndarray, np.ndarray]:
+    """method_coeffs for an array b, plus c = U^T b on the method's operator."""
+    x, c = _filter(_operator_svd(sd, method), b, 0.0 if method is Method.MIN_NORM else alpha, sd.rank)
+    if method in (Method.METHOD_I, Method.METHOD_III):
+        x = (x.T / sd.p_norms).T  # x.T: the weights scale the rows of a 2-D x
+    if not np.isfinite(x).all():
+        raise IllConditioned("solution coefficients are not all finite")
+    return x, c
+
+
+def method_coeffs(sd: SpectralData, b_hat: np.ndarray, alpha: float, method: Method) -> np.ndarray:
+    """One method's coefficients for b_hat of shape (m,) or (m, k), column by column,
+    from the SVDs on sd; alpha = 0 (always, for min_norm) is the truncated-SVD limit."""
+    return _method_filter(sd, np.asarray(b_hat, dtype=np.float64), alpha, method)[0]
 
 
 def solve_method(
@@ -130,13 +135,14 @@ def solve_method(
     """Solve one method through the SVDs stored on sd; min_norm reports alpha 0."""
     if method is Method.MIN_NORM:
         alpha = 0.0
-    elif not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha!r}")
-    x, residual = _filter(_operator_svd(sd, method), np.asarray(b_hat, dtype=np.float64), alpha, sd.rank)
-    if method in (Method.METHOD_I, Method.METHOD_III):
-        x = x / sd.p_norms
-    cell, ties = _argmax_tieset(x)
-    return SolveResult(x, alpha, residual, method, cell, ties)
+    elif not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
+    b = np.asarray(b_hat, dtype=np.float64)
+    x, c = _method_filter(sd, b, alpha, method)
+    U, s, _ = _operator_svd(sd, method)
+    residual = _residual(c, s, alpha, np.linalg.norm(b - U @ c), sd.rank)
+    ties = np.flatnonzero(x >= x.max() - ARGMAX_TIE_TOL).tolist()
+    return SolveResult(x, alpha, residual, method, ties[0], tuple(ties))
 
 
 def morozov(
@@ -162,7 +168,7 @@ def morozov(
     if method is Method.MIN_NORM:
         raise ValueError("discrepancy principle needs an alpha-dependent method")
     lo, hi = alpha_range
-    if not (0 < lo < hi):
+    if not (0 < lo < hi < math.inf):
         raise ValueError(f"invalid alpha range {alpha_range!r}")
     U, s, _ = _operator_svd(sd, method)
     b = np.asarray(b_hat, dtype=np.float64)

@@ -15,7 +15,7 @@ import numpy as np
 from .control_space import build_control_basis
 from .fem import assemble
 from .mesh import DomainSpec, Shape, build_mesh
-from .solvers import Method, min_norm_lsq, solve_method, tikhonov
+from .solvers import ARGMAX_TIE_TOL, Method, method_coeffs, min_norm_lsq, tikhonov
 from .spectral import (
     ForwardModel,
     SpectralData,
@@ -82,15 +82,12 @@ def check_minimum_norm_projection(rng: np.random.Generator, trials: int = 50) ->
 
 def check_argmax_recovery(fm: ForwardModel, sd: SpectralData, alpha: float = 1e-10) -> CheckResult:
     """Method I places its maximum at the driving basis index, every index."""
-    n = fm.A_hat.shape[1]
-    failures = []
-    for j in range(n):
-        if j not in solve_method(fm, sd, fm.A_hat[:, j], alpha, Method.METHOD_I).argmax_tieset:
-            failures.append(j)
+    X = method_coeffs(sd, fm.A_hat, alpha, Method.METHOD_I)  # column j answers data A_hat e_j
+    failures = np.flatnonzero(np.diag(X) < X.max(axis=0) - ARGMAX_TIE_TOL).tolist()
     return CheckResult(
         "method I attains its maximum at the correct index",
         not failures,
-        f"{n - len(failures)}/{n} indices recovered"
+        f"{len(X) - len(failures)}/{len(X)} indices recovered"
         + (f", failed: {failures[:8]}" if failures else ""),
     )
 
@@ -98,24 +95,21 @@ def check_argmax_recovery(fm: ForwardModel, sd: SpectralData, alpha: float = 1e-
 def expansion_deviation(fm: ForwardModel, sd: SpectralData, alpha: float | None) -> float:
     """Worst deviation of method I from its closed-form expansion, over e_j.
 
-    alpha=None compares the exact zero-regularization limit, computed
-    through the pseudo-inverse, with the projection expansion P e_j / w.
+    alpha=None compares the exact zero-regularization limit (method I at
+    alpha = 0) with the projection expansion P e_j / w.
     A positive alpha compares the method-I iterate with the same-alpha
     expansion V diag(s^2/(s^2+alpha)) V^T e_j / w over the full thin SVD,
     which is exact for data A_hat e_j. That iterate itself sits about
     alpha over the squared smallest retained singular value from the
     limit, so only the same-alpha form can be held to a tight tolerance.
     """
-    A, w = fm.A_hat, sd.p_norms
+    # column j of coeffs and of the expansion answers data A_hat e_j
+    coeffs = method_coeffs(sd, fm.A_hat, alpha or 0.0, Method.METHOD_I)
     if alpha is None:
-        coeffs = min_norm_lsq(A, A) / w[:, None]  # column j solves data A e_j
-        return float(np.max(np.abs(coeffs - sd.project(np.eye(A.shape[1])) / w[:, None])))
-    worst = 0.0
-    for j in range(A.shape[1]):
-        coeffs = solve_method(fm, sd, A[:, j], alpha, Method.METHOD_I).coeffs
-        expansion = (sd.V * (sd.s**2 / (sd.s**2 + alpha))) @ sd.V[j, :] / w
-        worst = max(worst, float(np.max(np.abs(coeffs - expansion))))
-    return worst
+        expansion = sd.project(np.eye(coeffs.shape[0]))
+    else:
+        expansion = (sd.V * (sd.s**2 / (sd.s**2 + alpha))) @ sd.V.T
+    return float(np.max(np.abs(coeffs - expansion / sd.p_norms[:, None])))
 
 
 def check_expansion_identity(
@@ -134,10 +128,10 @@ def check_expansion_identity(
 def norm_inequality_violations(fm: ForwardModel, sd: SpectralData) -> tuple[float, float]:
     """Largest excess of the method II and method III norms over their method I
     bounds, over every e_j, in the alpha -> 0 limits; at most 0 when they hold."""
-    A, w = fm.A_hat, sd.p_norms
-    E = np.eye(A.shape[1])
-    # column j of each pseudo-inverse product solves data A e_j
-    X, Y = min_norm_lsq(A, A), min_norm_lsq(A / w[None, :], A)
+    w = sd.p_norms
+    E = np.eye(len(w))
+    # column j of each limit solves data A_hat e_j
+    X, Y = (method_coeffs(sd, fm.A_hat, 0.0, m) for m in (Method.STANDARD_TIKHONOV, Method.METHOD_II))
     rhs = np.linalg.norm(E - X / w[:, None], axis=0)
     worst2 = np.max(np.linalg.norm(E - Y / w[None, :], axis=0) - rhs)
     worst3 = np.max(np.linalg.norm(E - Y / w[:, None], axis=0) - (w / w.min()) * rhs)

@@ -499,3 +499,19 @@ class TestMorozovScalarSearch:
                 assert len(calls) == 1
                 searches += 1
         assert searches >= len(morozov_cases) // 2
+
+
+class TestNonFiniteAlpha:
+    def test_solve_method_rejects_infinite_alpha(self, crime8):
+        fm, sd = crime8
+        with pytest.raises(ValueError, match="finite"):
+            solve_method(fm, sd, fm.A_hat[:, 0], math.inf, Method.METHOD_II)
+
+    def test_morozov_rejects_infinite_bracket(self, crime8):
+        # gamma lies above every attainable residual, but no bisection may run
+        fm, sd = crime8
+        b = fm.A_hat[:, 0]
+        with pytest.raises(ValueError, match="invalid alpha range"):
+            morozov(fm, sd, b, 1e3, Method.METHOD_II, alpha_range=(1e-3, math.inf))
+        with pytest.raises(GammaTooLarge):
+            morozov(fm, sd, b, 1e3, Method.METHOD_II, alpha_range=(1e-3, 1e6))
