@@ -1,16 +1,20 @@
-"""Time ex5a on a ladder of fine meshes and record the numbers as JSON.
+"""Time ex5a on a ladder of fine meshes for two source trees and record the numbers as JSON.
 
-Run from the repository root:
+Run from the repository root, with the source directory of each tree
+given as LABEL=PATH:
 
-    python scripts/bench_ladder.py --label change --out BENCH_<n>.json
-    python scripts/bench_ladder.py --label parent --src OTHER_CHECKOUT/src --out BENCH_<n>.json
+    python scripts/bench_ladder.py parent=OTHER_CHECKOUT/src change=src --out BENCH_<n>.json
 
-Each rung is `run_experiment` on the ex5a preset with an n x n-cell fine
+Each run is `run_experiment` on the ex5a preset with an n x n-cell fine
 mesh (so an n/2 x n/2 inversion mesh), in a fresh Python process whose
-OpenBLAS pools are capped at one thread. A rung reports the best wall
-time of its runs and the peak RSS of its process. The ladder is stored
-under its label, beside any ladders the file already holds, together
-with the core count and the Python, numpy and scipy versions.
+OpenBLAS pools are capped at one thread. The process first runs the
+smallest rung once, untimed, so first-call costs stay out of the timing,
+then times one run and reports it with the peak RSS of the process. On
+every rung the two trees' processes alternate, and which tree goes first
+alternates from pair to pair, so a machine that drifts in speed affects
+both alike. Every run is stored, with the median wall time and peak RSS
+per rung, under the tree's label, together with the core count and the
+Python, numpy and scipy versions.
 """
 
 from __future__ import annotations
@@ -19,11 +23,12 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 from pathlib import Path
 
-RUNGS = ((64, 3), (128, 3), (256, 3), (512, 1))  # (fine cells per side, runs)
+RUNGS = ((64, 10), (128, 10), (256, 6), (512, 3))  # (fine cells per side, runs per tree)
 
 CHILD = """
 import json, resource, sys, time
@@ -32,16 +37,14 @@ import numpy, scipy
 from nullsrc import DomainSpec, Shape
 from nullsrc.experiments import builtin_presets, run_experiment
 
-n, runs = int(sys.argv[1]), int(sys.argv[2])
-cfg = replace(builtin_presets()["ex5a"], domain=DomainSpec(Shape.UNIT_SQUARE, n, n))
-times = []
-for _ in range(runs):
-    start = time.perf_counter()
-    run_experiment(cfg)
-    times.append(time.perf_counter() - start)
+warm, n = int(sys.argv[1]), int(sys.argv[2])
+ex5a = builtin_presets()["ex5a"]
+run_experiment(replace(ex5a, domain=DomainSpec(Shape.UNIT_SQUARE, warm, warm)))
+cfg = replace(ex5a, domain=DomainSpec(Shape.UNIT_SQUARE, n, n))
+start = time.perf_counter()
+run_experiment(cfg)
 print(json.dumps({
-    "wall_s": min(times),
-    "runs_s": times,
+    "wall_s": time.perf_counter() - start,
     "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     "numpy": numpy.__version__,
     "scipy": scipy.__version__,
@@ -49,38 +52,58 @@ print(json.dumps({
 """
 
 
-def run_rung(src: Path, cells: int, runs: int) -> dict:
+def run_once(src: Path, cells: int) -> dict:
     env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
     done = subprocess.run(
-        [sys.executable, "-c", CHILD, str(cells), str(runs)],
+        [sys.executable, "-c", CHILD, str(RUNGS[0][0]), str(cells)],
         capture_output=True, text=True, check=True, env=env,
     )
-    return {"fine_cells": cells, "runs": runs, **json.loads(done.stdout)}
+    return json.loads(done.stdout)
+
+
+def source(spec: str) -> tuple[str, Path]:
+    label, sep, path = spec.partition("=")
+    if not (sep and label and path):
+        raise argparse.ArgumentTypeError(f"expected LABEL=PATH, got {spec!r}")
+    return label, Path(path).resolve()
 
 
 def main(argv: list[str] | None = None) -> int:
-    root = Path(__file__).resolve().parent.parent
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--label", required=True, help="name of this ladder, e.g. parent or change")
-    parser.add_argument("--src", type=Path, default=root / "src", help="directory holding nullsrc")
-    parser.add_argument("--out", type=Path, required=True, help="JSON file to add the ladder to")
+    parser.add_argument("sources", nargs=2, type=source, metavar="LABEL=PATH",
+                        help="a label and the directory holding that tree's nullsrc package")
+    parser.add_argument("--out", type=Path, required=True, help="JSON file to write")
     args = parser.parse_args(argv)
+    if args.sources[0][0] == args.sources[1][0]:
+        parser.error("the two sources need different labels")
 
-    rungs = []
+    rungs: dict[str, list[dict]] = {label: [] for label, _ in args.sources}
+    versions = {}
     for cells, runs in RUNGS:
-        rung = run_rung(args.src.resolve(), cells, runs)
-        print(f"{args.label} {cells}x{cells}: {rung['wall_s']:.3f} s, {rung['peak_rss_mb']:.0f} MB",
-              file=sys.stderr)
-        rungs.append(rung)
-    versions = {key: rungs[0].pop(key) for key in ("numpy", "scipy")}
-    for rung in rungs[1:]:
-        del rung["numpy"], rung["scipy"]
+        samples: dict[str, list[dict]] = {label: [] for label, _ in args.sources}
+        for pair in range(runs):
+            for label, src in args.sources[:: 1 if pair % 2 == 0 else -1]:
+                sample = run_once(src, cells)
+                versions = {key: sample.pop(key) for key in ("numpy", "scipy")}
+                samples[label].append(sample)
+        for label, runs_of in samples.items():
+            wall = [s["wall_s"] for s in runs_of]
+            rss = [s["peak_rss_mb"] for s in runs_of]
+            rung = {
+                "fine_cells": cells,
+                "wall_s_median": statistics.median(wall),
+                "peak_rss_mb_median": statistics.median(rss),
+                "runs_s": wall,
+                "peak_rss_mb": rss,
+            }
+            print(f"{label} {cells}x{cells}: median {rung['wall_s_median']:.3f} s, "
+                  f"{rung['peak_rss_mb_median']:.0f} MB over {runs} runs", file=sys.stderr)
+            rungs[label].append(rung)
 
-    data = json.loads(args.out.read_text()) if args.out.exists() else {}
-    data.setdefault("benchmark", "nullsrc run_experiment(ex5a) with an n x n-cell fine mesh, "
-                                 "one fresh process per rung, one BLAS thread; wall_s is the "
-                                 "best of `runs`")
-    data.setdefault("ladders", {})[args.label] = {
+    data = {
+        "benchmark": "nullsrc run_experiment(ex5a) with an n x n-cell fine mesh, one timed run "
+                     "per fresh process after an untimed 64x64 warm-up, one BLAS thread; the "
+                     "ladders' processes alternate on every rung",
         "environment": {
             "cpu_count": os.cpu_count(),
             "machine": platform.machine(),
@@ -88,7 +111,7 @@ def main(argv: list[str] | None = None) -> int:
             **versions,
             "blas_threads": 1,
         },
-        "rungs": rungs,
+        "ladders": {label: {"rungs": ladder} for label, ladder in rungs.items()},
     }
     args.out.write_text(json.dumps(data, indent=2) + "\n")
     return 0

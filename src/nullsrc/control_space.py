@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse
 
 from .errors import IncompatibleGrids, LengthMismatch
-from .mesh import Mesh, triangle_areas
+from .mesh import Mesh
 
 _GEOM_TOL = 1e-12
 
@@ -61,18 +61,18 @@ def build_control_basis(mesh: Mesh, mx: int, my: int) -> ControlBasis:
     if mx < 1 or my < 1:
         raise IncompatibleGrids(f"control dims must be positive, got {mx}x{my}")
     wx, wy = 1.0 / mx, 1.0 / my
-    cent = mesh.nodes[mesh.triangles].mean(axis=1)
-    gx = np.clip(np.floor(cent[:, 0] / wx).astype(np.int64), 0, mx - 1)
-    gy = np.clip(np.floor(cent[:, 1] / wy).astype(np.int64), 0, my - 1)
+    # vertex-major (3, n_tri) coordinates: sums and min/max combine three rows
+    x, y = mesh.nodes[:, 0][mesh.triangles.T], mesh.nodes[:, 1][mesh.triangles.T]
+    gx = np.clip(np.floor((x[0] + x[1] + x[2]) / 3.0 / wx).astype(np.int64), 0, mx - 1)
+    gy = np.clip(np.floor((y[0] + y[1] + y[2]) / 3.0 / wy).astype(np.int64), 0, my - 1)
 
     # each triangle's vertices must stay inside the candidate rectangle
-    p = mesh.nodes[mesh.triangles]
     x0, y0 = gx * wx, gy * wy
     inside = (
-        (p[..., 0] >= x0[:, None] - _GEOM_TOL).all(axis=1)
-        & (p[..., 0] <= x0[:, None] + wx + _GEOM_TOL).all(axis=1)
-        & (p[..., 1] >= y0[:, None] - _GEOM_TOL).all(axis=1)
-        & (p[..., 1] <= y0[:, None] + wy + _GEOM_TOL).all(axis=1)
+        (np.minimum(np.minimum(x[0], x[1]), x[2]) >= x0 - _GEOM_TOL)
+        & (np.maximum(np.maximum(x[0], x[1]), x[2]) <= x0 + wx + _GEOM_TOL)
+        & (np.minimum(np.minimum(y[0], y[1]), y[2]) >= y0 - _GEOM_TOL)
+        & (np.maximum(np.maximum(y[0], y[1]), y[2]) <= y0 + wy + _GEOM_TOL)
     )
     if not inside.all():
         t = int(np.flatnonzero(~inside)[0])
@@ -91,9 +91,7 @@ def build_control_basis(mesh: Mesh, mx: int, my: int) -> ControlBasis:
     areas_cells = np.full(len(present), wx * wy)
 
     # covered area per cell must equal the full rectangle: cells tile Omega
-    tri_area = triangle_areas(mesh)
-    covered = np.zeros(len(present))
-    np.add.at(covered, tri_cells, tri_area)
+    covered = np.bincount(tri_cells, mesh.triangle_areas, minlength=len(present))
     if not np.allclose(covered, areas_cells, rtol=1e-10, atol=0.0):
         raise IncompatibleGrids("mesh does not fully tile some control cells")
 
@@ -116,7 +114,7 @@ def control_load_matrix(basis: ControlBasis, mesh: Mesh) -> scipy.sparse.csc_mat
     scale_i * area_T / 3 to each of its three vertices (exact). The
     matrix is built from those triplets, three per triangle.
     """
-    contrib = basis.scale[basis.triangle_cells] * triangle_areas(mesh) / 3.0
+    contrib = basis.scale[basis.triangle_cells] * mesh.triangle_areas / 3.0
     rows = mesh.triangles.T.ravel()
     cols = np.tile(basis.triangle_cells, 3)
     return scipy.sparse.csc_matrix(
@@ -130,7 +128,7 @@ def source_load(basis: ControlBasis, mesh: Mesh, coeffs: np.ndarray) -> np.ndarr
     Equals control_load_matrix(...) @ coeffs up to rounding: each triangle
     adds its cell value times area_T / 3 to each of its three vertices.
     """
-    per_tri = (coeffs * basis.scale)[basis.triangle_cells] * triangle_areas(mesh) / 3.0
+    per_tri = (coeffs * basis.scale)[basis.triangle_cells] * mesh.triangle_areas / 3.0
     return np.bincount(mesh.triangles.ravel(), np.repeat(per_tri, 3), minlength=mesh.n_nodes)
 
 
@@ -142,6 +140,15 @@ def coefficients_to_cell_field(basis: ControlBasis, coeffs: np.ndarray) -> np.nd
     return coeffs * basis.scale
 
 
+def _axis_overlaps(m_src: int, m_dst: int) -> np.ndarray:
+    """(m_src, m_dst) lengths of the overlaps of two uniform partitions of [0, 1]."""
+    a = np.arange(m_src + 1) * (1.0 / m_src)
+    b = np.arange(m_dst + 1) * (1.0 / m_dst)
+    return np.maximum(
+        0.0, np.minimum(a[1:, None], b[None, 1:]) - np.maximum(a[:-1, None], b[None, :-1])
+    )
+
+
 def project_cell_function(
     src: ControlBasis, src_coeffs: np.ndarray, dst: ControlBasis
 ) -> np.ndarray:
@@ -149,19 +156,18 @@ def project_cell_function(
 
     Works by exact rectangle-intersection integration, which reduces to
     cell averaging when the destination cells are unions of source cells.
+    Control cells are uniform grids on the unit square, so the overlap of
+    two cells is the product of their x and y interval overlaps and the
+    integrals over every destination cell are oy^T @ (grid @ ox) on the
+    source values laid out as a grid (zero where a cell is absent).
     Returns destination basis coefficients.
     """
     values = coefficients_to_cell_field(src, src_coeffs)
-    ax0, ay0, ax1, ay1 = src.cells.T
-    bx0, by0, bx1, by1 = dst.cells.T
-    ox = np.maximum(
-        0.0, np.minimum(ax1[:, None], bx1[None, :]) - np.maximum(ax0[:, None], bx0[None, :])
-    )
-    oy = np.maximum(
-        0.0, np.minimum(ay1[:, None], by1[None, :]) - np.maximum(ay0[:, None], by0[None, :])
-    )
-    integrals = (values[:, None] * ox * oy).sum(axis=0)
-    return integrals * dst.scale
+    (smx, smy), (dmx, dmy) = src.grid_dims, dst.grid_dims
+    grid = np.zeros((smy, smx))
+    grid[src.grid_coords[:, 1], src.grid_coords[:, 0]] = values
+    integrals = _axis_overlaps(smy, dmy).T @ (grid @ _axis_overlaps(smx, dmx))
+    return integrals[dst.grid_coords[:, 1], dst.grid_coords[:, 0]] * dst.scale
 
 
 def cell_touches_boundary(basis: ControlBasis) -> np.ndarray:

@@ -368,13 +368,15 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 # serialization
 
-def _write_csv(path: Path, header: str, ids, *float_columns) -> None:
-    """One row per id: the integer id, then each column's value as repr(float)."""
-    lines = [header] + [
-        ",".join([str(int(i))] + [repr(float(v)) for v in values])
-        for i, *values in zip(ids, *float_columns, strict=True)
-    ]
-    path.write_text("\n".join(lines) + "\n")
+def _text(values) -> list[str]:
+    """Each value as repr(float(v)): shortest round-trip decimals."""
+    return list(map(repr, np.asarray(values, dtype=np.float64).tolist()))
+
+
+def _write_csv(path: Path, header: str, *columns: list[str]) -> None:
+    """One row per entry: the columns' formatted fields joined by commas."""
+    rows = map(",".join, zip(*columns, strict=True))
+    path.write_text("\n".join([header, *rows]) + "\n")
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
@@ -533,13 +535,15 @@ def export_result(result: ExperimentResult, out_dir: str | Path) -> Path:
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cells = ("cell,cx,cy,value", range(basis.n), *basis.cell_centers.T)
-    _write_csv(out / "true_source.csv", *cells, result.truth_values)
+    # the cell,cx,cy fields are formatted once and shared by every cell file
+    cells = list(map(",".join, zip(map(str, range(basis.n)), *map(_text, basis.cell_centers.T))))
+    _write_csv(out / "true_source.csv", "cell,cx,cy,value", cells, _text(result.truth_values))
     for name, outcome in result.outcomes.items():
         if outcome.error is None:
-            _write_csv(out / f"source_{name}.csv", *cells, outcome.values)
-    boundary = (result.boundary_nodes, *result.boundary_xy.T, result.d, result.d_noisy)
-    _write_csv(out / "boundary.csv", "node,x,y,d,d_noisy", *boundary)
+            _write_csv(out / f"source_{name}.csv", "cell,cx,cy,value", cells, _text(outcome.values))
+    nodes = [str(int(i)) for i in result.boundary_nodes]
+    boundary = (*result.boundary_xy.T, result.d, result.d_noisy)
+    _write_csv(out / "boundary.csv", "node,x,y,d,d_noisy", nodes, *map(_text, boundary))
     (out / "manifest.json").write_text(manifest_text)
     return out / "manifest.json"
 

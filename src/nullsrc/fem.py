@@ -3,6 +3,9 @@
 All element integrals are exact for the piecewise-linear ansatz: the
 element mass matrix is area/12 * [[2,1,1],[1,2,1],[1,1,2]], gradients are
 constant per triangle, and boundary edges carry length/6 * [[2,1],[1,2]].
+A system keeps only what runs read, the state matrix S and the boundary
+mass B; stiffness_and_mass builds the stiffness and mass matrices from the
+element matrices S is summed from.
 The state matrix of a system is factored once, by one sparse LU, and the
 factor is shared by every solve on that system.
 
@@ -25,7 +28,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import NonPositiveCoefficient, SingularState
-from .mesh import Mesh, triangle_areas
+from .mesh import Mesh
 
 PIVOT_TOL = 1e-12
 CG_RTOL = 1e-12
@@ -61,13 +64,12 @@ class CoefficientField:
 class FemSystem:
     """Assembled matrices for one mesh, epsilon and coefficient field.
 
-    K_sigma and M are n_nodes x n_nodes sparse; B is the dense boundary
-    mass matrix in boundary-node order; S = K_sigma + epsilon*M is the
-    state matrix; trace_map selects boundary values from nodal vectors.
+    S = K_sigma + epsilon*M is the sparse n_nodes x n_nodes state matrix;
+    B is the dense boundary mass matrix in boundary-node order; trace_map
+    selects boundary values from nodal vectors. K_sigma and M are not
+    kept (see stiffness_and_mass).
     """
 
-    K_sigma: scipy.sparse.csr_matrix
-    M: scipy.sparse.csr_matrix
     B: np.ndarray
     S: scipy.sparse.csr_matrix
     epsilon: float
@@ -75,7 +77,7 @@ class FemSystem:
 
     @property
     def n_nodes(self) -> int:
-        return self.M.shape[0]
+        return self.S.shape[0]
 
     @cached_property
     def solver(self) -> "StateSolver":
@@ -88,8 +90,68 @@ class FemSystem:
         return np.linalg.cholesky(self.B).T
 
 
+_MASS_REF = (np.ones((3, 3)) + np.eye(3)) / 12.0
+
+
+def _element_matrices(mesh: Mesh, sigma: CoefficientField | None) -> tuple[np.ndarray, np.ndarray]:
+    """Per-triangle stiffness and mass matrices, each (3, 3, n_tri): entry
+    [i, j, t] couples local vertices i and j of triangle t.
+
+    Raises NonPositiveCoefficient if any per-triangle kappa is not
+    strictly positive or the arrays do not have one value per triangle.
+    """
+    if sigma is None:
+        sigma = CoefficientField.identity(mesh)
+    k1 = np.asarray(sigma.kappa1, dtype=np.float64)
+    k2 = np.asarray(sigma.kappa2, dtype=np.float64)
+    if k1.shape != (mesh.n_triangles,) or k2.shape != (mesh.n_triangles,):
+        raise NonPositiveCoefficient(
+            f"coefficient arrays must have one value per triangle "
+            f"({mesh.n_triangles}), got {k1.shape} and {k2.shape}"
+        )
+    if np.any(k1 <= 0) or np.any(k2 <= 0):
+        raise NonPositiveCoefficient("kappa1 and kappa2 must be positive on every triangle")
+
+    # vertex-major (3, n_tri) layouts keep every array operation n_tri long
+    x, y = mesh.nodes[:, 0][mesh.triangles.T], mesh.nodes[:, 1][mesh.triangles.T]
+    area = mesh.triangle_areas
+    # P1 gradient coefficients: grad(lambda_i) = (b_i, c_i) / (2*area)
+    b = np.stack([y[1] - y[2], y[2] - y[0], y[0] - y[1]])
+    c = np.stack([x[2] - x[1], x[0] - x[2], x[1] - x[0]])
+    ke = (k1 * b[:, None] * b[None, :] + k2 * c[:, None] * c[None, :]) / (4.0 * area)
+    return ke, area * _MASS_REF[:, :, None]
+
+
+def _global(mesh: Mesh, element: np.ndarray) -> scipy.sparse.csr_matrix:
+    """Sum (3, 3, n_tri) element matrices into one n_nodes x n_nodes CSR matrix.
+
+    Entries enter in triangle-major order, which fixes the order in which
+    the conversion sums each node pair's contributions.
+    """
+    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
+    cols = np.tile(mesh.triangles, (1, 3)).ravel()
+    n = mesh.n_nodes
+    data = element.transpose(2, 0, 1).ravel()
+    return scipy.sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
+
+
+def stiffness_and_mass(
+    mesh: Mesh, sigma: CoefficientField | None = None
+) -> tuple[scipy.sparse.csr_matrix, scipy.sparse.csr_matrix]:
+    """Stiffness K_sigma and mass M, sparse CSR, from assemble's element matrices.
+
+    sigma defaults to the identity diffusivity; raises NonPositiveCoefficient
+    like assemble.
+    """
+    ke, me = _element_matrices(mesh, sigma)
+    return _global(mesh, ke), _global(mesh, me)
+
+
 def assemble(mesh: Mesh, epsilon: float, sigma: CoefficientField | None = None) -> FemSystem:
-    """Assemble stiffness, mass, boundary-mass and state matrices.
+    """Assemble the state and boundary-mass matrices.
+
+    Each triangle's stiffness and epsilon-scaled mass are summed into one
+    element matrix, and S is built from those by one sparse conversion.
 
     Parameters
     ----------
@@ -104,37 +166,8 @@ def assemble(mesh: Mesh, epsilon: float, sigma: CoefficientField | None = None) 
     NonPositiveCoefficient
         If any per-triangle kappa is not strictly positive.
     """
-    if sigma is None:
-        sigma = CoefficientField.identity(mesh)
-    k1 = np.asarray(sigma.kappa1, dtype=np.float64)
-    k2 = np.asarray(sigma.kappa2, dtype=np.float64)
-    if k1.shape != (mesh.n_triangles,) or k2.shape != (mesh.n_triangles,):
-        raise NonPositiveCoefficient(
-            f"coefficient arrays must have one value per triangle "
-            f"({mesh.n_triangles}), got {k1.shape} and {k2.shape}"
-        )
-    if np.any(k1 <= 0) or np.any(k2 <= 0):
-        raise NonPositiveCoefficient("kappa1 and kappa2 must be positive on every triangle")
-
-    p = mesh.nodes[mesh.triangles]  # (n_tri, 3, 2)
-    x, y = p[..., 0], p[..., 1]
-    area = triangle_areas(mesh)
-    # P1 gradient coefficients: grad(lambda_i) = (b_i, c_i) / (2*area)
-    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-
-    ke = (
-        k1[:, None, None] * b[:, :, None] * b[:, None, :]
-        + k2[:, None, None] * c[:, :, None] * c[:, None, :]
-    ) / (4.0 * area)[:, None, None]
-    me_ref = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    me = area[:, None, None] * me_ref[None, :, :]
-
-    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
-    cols = np.tile(mesh.triangles, (1, 3)).ravel()
-    n = mesh.n_nodes
-    K = scipy.sparse.coo_matrix((ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    M = scipy.sparse.coo_matrix((me.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    ke, me = _element_matrices(mesh, sigma)
+    S = _global(mesh, ke + epsilon * me)
 
     bnodes = mesh.boundary_nodes
     i, j = np.searchsorted(bnodes, mesh.boundary_edges).T
@@ -147,9 +180,7 @@ def assemble(mesh: Mesh, epsilon: float, sigma: CoefficientField | None = None) 
         (np.concatenate([i, j, i, j]), np.concatenate([i, j, j, i])),
         np.concatenate([length / 3.0, length / 3.0, length / 6.0, length / 6.0]),
     )
-
-    S = (K + epsilon * M).tocsr()
-    return FemSystem(K_sigma=K, M=M, B=B, S=S, epsilon=epsilon, trace_map=bnodes.copy())
+    return FemSystem(B=B, S=S, epsilon=epsilon, trace_map=bnodes.copy())
 
 
 class StateSolver:

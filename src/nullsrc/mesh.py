@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse
@@ -46,6 +47,9 @@ class Mesh:
         their owning triangle.
     boundary_nodes : (n_bnodes,) int array
         Indices of boundary vertices, ascending.
+    triangle_areas : (n_tri,) float array
+        Signed triangle areas (positive for CCW orientation), computed on
+        first use and read-only, so every caller shares one array.
     """
 
     nodes: np.ndarray
@@ -60,6 +64,13 @@ class Mesh:
     @property
     def n_triangles(self) -> int:
         return self.triangles.shape[0]
+
+    @cached_property
+    def triangle_areas(self) -> np.ndarray:
+        x, y = self.nodes[:, 0][self.triangles.T], self.nodes[:, 1][self.triangles.T]
+        area = 0.5 * ((x[1] - x[0]) * (y[2] - y[0]) - (x[2] - x[0]) * (y[1] - y[0]))
+        area.flags.writeable = False
+        return area
 
 
 def _edges(triangles: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -89,15 +100,6 @@ def _boundary_structure(triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     tail, head = u[once], v[once]
     bedges = np.column_stack([tail, head])[np.lexsort((head, tail))]
     return bedges, np.unique(bedges)
-
-
-def triangle_areas(mesh: Mesh) -> np.ndarray:
-    """Signed areas of all triangles (positive for CCW orientation)."""
-    p = mesh.nodes[mesh.triangles]
-    return 0.5 * (
-        (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-        - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])
-    )
 
 
 def build_mesh(spec: DomainSpec) -> Mesh:

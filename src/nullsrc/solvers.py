@@ -86,14 +86,14 @@ def tikhonov(
     alpha: float,
     weights: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Solve min |A_hat z - b_hat|^2 + alpha |W z|^2, unique for alpha > 0.
+    """Solve min |A_hat z - b_hat|^2 + alpha |W z|^2 for a finite alpha > 0.
 
     weights holds the positive diagonal of W (identity when absent). With
     y = W z this is plain Tikhonov for A_hat W^{-1}: an SVD of that
     matrix, the filter factors s/(s^2+alpha), then z = W^{-1} y.
     """
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha!r}")
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
     M = np.atleast_2d(np.asarray(A_hat, dtype=np.float64))
     w = np.ones(M.shape[1]) if weights is None else np.asarray(weights, dtype=np.float64)
     return _filter(thin_svd(M / w), np.asarray(b_hat, dtype=np.float64), alpha)[0] / w

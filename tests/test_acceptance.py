@@ -40,7 +40,7 @@ from nullsrc.experiments import (
     builtin_presets,
     run_experiment,
 )
-from nullsrc.fem import StateSolver
+from nullsrc.fem import StateSolver, stiffness_and_mass
 from nullsrc.spectral import ForwardModel
 from nullsrc.verify import (
     check_argmax_recovery,
@@ -259,10 +259,8 @@ def test_criterion_09_helmholtz_and_remaining_examples(tmp_path):
 
     # a state matrix tuned to a detected resonance must raise, not solve
     mesh = build_mesh(DomainSpec(Shape.UNIT_SQUARE, 8, 8))
-    probe = assemble(mesh, 1.0)
-    lam = scipy.linalg.eigh(
-        probe.K_sigma.toarray(), probe.M.toarray(), eigvals_only=True
-    )[5]
+    K, M = stiffness_and_mass(mesh)
+    lam = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)[5]
     with pytest.raises(SingularState):
         StateSolver(assemble(mesh, -float(lam)))
 

@@ -16,7 +16,57 @@ from nullsrc import (
     project_cell_function,
 )
 from nullsrc.control_space import cell_touches_boundary, source_load
-from nullsrc.mesh import triangle_areas
+from nullsrc.fem import stiffness_and_mass
+
+
+# Reference implementations: the array code before it read per-vertex
+# coordinate slices and before projection became separable.
+
+
+def old_control_basis(mesh, mx, my):
+    """Fields of build_control_basis as a dict; raises IncompatibleGrids on straddling."""
+    wx, wy = 1.0 / mx, 1.0 / my
+    cent = mesh.nodes[mesh.triangles].mean(axis=1)
+    gx = np.clip(np.floor(cent[:, 0] / wx).astype(np.int64), 0, mx - 1)
+    gy = np.clip(np.floor(cent[:, 1] / wy).astype(np.int64), 0, my - 1)
+    p = mesh.nodes[mesh.triangles]
+    x0, y0 = gx * wx, gy * wy
+    tol = 1e-12
+    inside = (
+        (p[..., 0] >= x0[:, None] - tol).all(axis=1)
+        & (p[..., 0] <= x0[:, None] + wx + tol).all(axis=1)
+        & (p[..., 1] >= y0[:, None] - tol).all(axis=1)
+        & (p[..., 1] <= y0[:, None] + wy + tol).all(axis=1)
+    )
+    if not inside.all():
+        raise IncompatibleGrids("straddles")
+    flat = gy * mx + gx
+    present = np.unique(flat)
+    pgx, pgy = present % mx, present // mx
+    areas = np.full(len(present), wx * wy)
+    return {
+        "cells": np.column_stack([pgx * wx, pgy * wy, (pgx + 1) * wx, (pgy + 1) * wy]),
+        "areas": areas,
+        "scale": 1.0 / np.sqrt(areas),
+        "grid_dims": (mx, my),
+        "cell_centers": np.column_stack([(pgx + 0.5) * wx, (pgy + 0.5) * wy]),
+        "grid_coords": np.column_stack([pgx, pgy]).astype(np.int64),
+        "triangle_cells": np.searchsorted(present, flat),
+    }
+
+
+def old_projection(src, src_coeffs, dst):
+    """Dense rectangle-intersection integration over every (source, destination) pair."""
+    values = coefficients_to_cell_field(src, src_coeffs)
+    ax0, ay0, ax1, ay1 = src.cells.T
+    bx0, by0, bx1, by1 = dst.cells.T
+    ox = np.maximum(
+        0.0, np.minimum(ax1[:, None], bx1[None, :]) - np.maximum(ax0[:, None], bx0[None, :])
+    )
+    oy = np.maximum(
+        0.0, np.minimum(ay1[:, None], by1[None, :]) - np.maximum(ay0[:, None], by0[None, :])
+    )
+    return (values[:, None] * ox * oy).sum(axis=0) * dst.scale
 
 
 @pytest.fixture(scope="module")
@@ -49,10 +99,36 @@ class TestBuildControlBasis:
         with pytest.raises(IncompatibleGrids):
             build_control_basis(mesh, 2, 2)
 
+    @pytest.mark.parametrize(
+        "shape, n, m",
+        [
+            (Shape.UNIT_SQUARE, 8, 8),
+            (Shape.UNIT_SQUARE, 48, 12),
+            (Shape.UNIT_SQUARE, 32, 16),
+            (Shape.L_SHAPE, 16, 8),
+            (Shape.L_SHAPE, 24, 12),
+        ],
+    )
+    def test_matches_old_code_field_by_field(self, shape, n, m):
+        mesh = build_mesh(DomainSpec(shape, n, n))
+        basis = build_control_basis(mesh, m, m)
+        for name, expected in old_control_basis(mesh, m, m).items():
+            assert np.array_equal(getattr(basis, name), expected), name
+
+    @pytest.mark.parametrize(
+        "shape, n, m", [(Shape.UNIT_SQUARE, 3, 2), (Shape.UNIT_SQUARE, 12, 8), (Shape.L_SHAPE, 6, 4)]
+    )
+    def test_straddling_raises_like_old_code(self, shape, n, m):
+        mesh = build_mesh(DomainSpec(shape, n, n))
+        with pytest.raises(IncompatibleGrids):
+            old_control_basis(mesh, m, m)
+        with pytest.raises(IncompatibleGrids):
+            build_control_basis(mesh, m, m)
+
     def test_gram_matrix_is_identity(self, square8):
         mesh, _, basis = square8
         # exact Gram from triangle memberships: triangles never straddle cells
-        areas = triangle_areas(mesh)
+        areas = mesh.triangle_areas
         gram = np.zeros((basis.n, basis.n))
         for t, cell in enumerate(basis.triangle_cells):
             gram[cell, cell] += basis.scale[cell] ** 2 * areas[t]
@@ -75,7 +151,7 @@ class TestControlLoadMatrix:
         # f = 1 expanded in the basis has coefficients sqrt(area)
         M_cf = control_load_matrix(basis, mesh)
         load = M_cf @ np.sqrt(basis.areas)
-        np.testing.assert_allclose(load, sys.M @ np.ones(sys.n_nodes), atol=1e-12)
+        np.testing.assert_allclose(load, stiffness_and_mass(mesh)[1] @ np.ones(mesh.n_nodes), atol=1e-12)
 
     def test_source_load_matches_matrix_product(self):
         mesh = build_mesh(DomainSpec(Shape.L_SHAPE, 16, 16))
@@ -133,7 +209,7 @@ class TestCellFields:
     def test_euclidean_equals_l2_inner_product(self, square8):
         mesh, _, basis = square8
         rng = np.random.default_rng(6)
-        areas = triangle_areas(mesh)
+        areas = mesh.triangle_areas
         for _ in range(5):
             a = rng.standard_normal(64)
             b = rng.standard_normal(64)
@@ -164,6 +240,34 @@ class TestProjection:
         # the fine cell is a quarter of the coarse one: average 8/4 = 2
         assert values[0] == pytest.approx(2.0, rel=1e-12)
         assert np.abs(values[1:]).max() == 0
+
+    @pytest.mark.parametrize(
+        "shape, m_src, m_dst",
+        [
+            (Shape.UNIT_SQUARE, (16, 16), (8, 8)),
+            (Shape.UNIT_SQUARE, (8, 8), (16, 16)),
+            (Shape.UNIT_SQUARE, (16, 16), (12, 12)),
+            (Shape.UNIT_SQUARE, (12, 12), (16, 16)),
+            (Shape.UNIT_SQUARE, (16, 8), (12, 16)),
+            (Shape.L_SHAPE, (16, 16), (12, 12)),
+            (Shape.L_SHAPE, (8, 8), (16, 16)),
+        ],
+    )
+    def test_matches_dense_intersection(self, shape, m_src, m_dst):
+        mesh = build_mesh(DomainSpec(shape, 48, 48))
+        src = build_control_basis(mesh, *m_src)
+        dst = build_control_basis(mesh, *m_dst)
+        coeffs = np.random.default_rng(8).standard_normal(src.n)
+        expected = old_projection(src, coeffs, dst)
+        got = project_cell_function(src, coeffs, dst)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("shape, m", [(Shape.UNIT_SQUARE, 16), (Shape.UNIT_SQUARE, 12), (Shape.L_SHAPE, 8)])
+    def test_same_grid_is_bit_identical_to_dense_intersection(self, shape, m):
+        basis = build_control_basis(build_mesh(DomainSpec(shape, 48, 48)), m, m)
+        coeffs = np.random.default_rng(9).standard_normal(basis.n)
+        expected = old_projection(basis, coeffs, basis)
+        assert np.array_equal(project_cell_function(basis, coeffs, basis), expected)
 
     def test_boundary_touch_detection(self):
         mesh = build_mesh(DomainSpec(Shape.L_SHAPE, 8, 8))

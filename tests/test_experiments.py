@@ -316,6 +316,27 @@ class TestExport:
         assert int(row[0]) == res.boundary_nodes[0]
         assert float(row[3]) == res.d[0]
 
+    def test_csv_fields_are_repr_of_floats(self, exported):
+        # reference built row by row, as the exporter wrote it before it
+        # formatted the shared cell,cx,cy columns once
+        out, res = exported
+        centers = res.basis_inverse.cell_centers
+
+        def reference(header, ids, *columns):
+            rows = [
+                ",".join([str(int(i))] + [repr(float(v)) for v in values])
+                for i, *values in zip(ids, *columns, strict=True)
+            ]
+            return "\n".join([header, *rows]) + "\n"
+
+        cells = (range(len(centers)), centers[:, 0], centers[:, 1])
+        expected = {"true_source.csv": res.truth_values}
+        expected.update({f"source_{name}.csv": o.values for name, o in res.outcomes.items()})
+        for name, values in expected.items():
+            assert (out / name).read_text() == reference("cell,cx,cy,value", *cells, values)
+        boundary = (res.boundary_nodes, *res.boundary_xy.T, res.d, res.d_noisy)
+        assert (out / "boundary.csv").read_text() == reference("node,x,y,d,d_noisy", *boundary)
+
     def test_manifest_contents(self, exported):
         out, res = exported
         manifest = json.loads((out / "manifest.json").read_text())

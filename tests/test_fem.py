@@ -18,7 +18,7 @@ from nullsrc import (
 )
 from nullsrc.control_space import build_control_basis, source_load
 from nullsrc.experiments import build_setup, builtin_presets
-from nullsrc.fem import StateSolver, solve_data
+from nullsrc.fem import StateSolver, solve_data, stiffness_and_mass
 from nullsrc.mesh import prolongation, refine_uniform
 
 
@@ -30,19 +30,18 @@ def square3():
 
 class TestAssemble:
     def test_mass_total(self, square3):
-        _, sys = square3
-        assert sys.M.sum() == pytest.approx(1.0, rel=1e-10)
+        mesh, _ = square3
+        assert stiffness_and_mass(mesh)[1].sum() == pytest.approx(1.0, rel=1e-10)
 
     def test_mass_total_lshape(self):
         mesh = build_mesh(DomainSpec(Shape.L_SHAPE, 4, 4))
-        sys = assemble(mesh, 2.0)
-        assert sys.M.sum() == pytest.approx(0.75, rel=1e-10)
+        assert stiffness_and_mass(mesh)[1].sum() == pytest.approx(0.75, rel=1e-10)
 
     def test_stiffness_kills_constants(self, square3):
-        _, sys = square3
-        ones = np.ones(sys.n_nodes)
-        norm = np.abs(sys.K_sigma.toarray()).max()
-        assert np.abs(sys.K_sigma @ ones).max() <= 1e-10 * norm
+        mesh, _ = square3
+        K, _ = stiffness_and_mass(mesh)
+        norm = np.abs(K.toarray()).max()
+        assert np.abs(K @ np.ones(mesh.n_nodes)).max() <= 1e-10 * norm
 
     def test_boundary_mass_total(self, square3):
         _, sys = square3
@@ -74,12 +73,12 @@ class TestAssemble:
         k = CoefficientField.diagonal(
             np.full(mesh.n_triangles, 2.0), np.ones(mesh.n_triangles)
         )
-        sys = assemble(mesh, 0.0, k)
+        K, _ = stiffness_and_mass(mesh, k)
         ux = mesh.nodes[:, 0]
         # energy = integral kappa1 |du/dx|^2 = 2 * |Omega| = 2
-        assert ux @ (sys.K_sigma @ ux) == pytest.approx(2.0, rel=1e-10)
+        assert ux @ (K @ ux) == pytest.approx(2.0, rel=1e-10)
         uy = mesh.nodes[:, 1]
-        assert uy @ (sys.K_sigma @ uy) == pytest.approx(1.0, rel=1e-10)
+        assert uy @ (K @ uy) == pytest.approx(1.0, rel=1e-10)
 
     def test_rejects_nonpositive_coefficient(self):
         mesh = build_mesh(DomainSpec(Shape.UNIT_SQUARE, 2, 2))
@@ -95,6 +94,69 @@ class TestAssemble:
         assert sys.epsilon == 1e-3
 
 
+def old_stiffness_and_mass(mesh, sigma):
+    """K and M as assemble built them before it summed elements into S directly."""
+    p = mesh.nodes[mesh.triangles]
+    x, y = p[..., 0], p[..., 1]
+    area = 0.5 * (
+        (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
+        - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])
+    )
+    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
+    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
+    k1, k2 = sigma.kappa1, sigma.kappa2
+    ke = (
+        k1[:, None, None] * b[:, :, None] * b[:, None, :]
+        + k2[:, None, None] * c[:, :, None] * c[:, None, :]
+    ) / (4.0 * area)[:, None, None]
+    me = area[:, None, None] * ((np.ones((3, 3)) + np.eye(3)) / 12.0)[None, :, :]
+    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
+    cols = np.tile(mesh.triangles, (1, 3)).ravel()
+    n = mesh.n_nodes
+    K = scipy.sparse.coo_matrix((ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    M = scipy.sparse.coo_matrix((me.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    return K, M
+
+
+AFFINE = (lambda x, y: 1.0 + 0.5 * x, lambda x, y: 1.0 + 0.25 * y)
+
+
+@pytest.mark.parametrize(
+    "shape, n, epsilon, affine",
+    [
+        (Shape.UNIT_SQUARE, 8, 1e-3, False),
+        (Shape.L_SHAPE, 8, 1e-3, False),
+        (Shape.UNIT_SQUARE, 8, 1e-3, True),
+        (Shape.L_SHAPE, 12, -100.0, True),
+    ],
+)
+class TestElementSums:
+    @staticmethod
+    def problem(shape, n, affine):
+        mesh = build_mesh(DomainSpec(shape, n, n))
+        sigma = CoefficientField.from_functions(mesh, *AFFINE) if affine else None
+        return mesh, sigma
+
+    def test_stiffness_and_mass_match_old_assembly(self, shape, n, epsilon, affine):
+        mesh, sigma = self.problem(shape, n, affine)
+        K, M = stiffness_and_mass(mesh, sigma)
+        K_old, M_old = old_stiffness_and_mass(mesh, sigma or CoefficientField.identity(mesh))
+        for new, old in ((K, K_old), (M, M_old)):
+            assert (new != old).nnz == 0
+
+    def test_state_matrix_is_stiffness_plus_epsilon_mass(self, shape, n, epsilon, affine):
+        mesh, sigma = self.problem(shape, n, affine)
+        S = assemble(mesh, epsilon, sigma).S
+        K, M = stiffness_and_mass(mesh, sigma)
+        ref = (K + epsilon * M).tocsr()
+        ref.sort_indices()
+        S_sorted = S.sorted_indices()
+        assert np.array_equal(S_sorted.indptr, ref.indptr)
+        assert np.array_equal(S_sorted.indices, ref.indices)
+        scale = np.abs(ref.data).max()
+        assert np.abs(S_sorted.data - ref.data).max() <= 1e-14 * scale
+
+
 class TestSolveState:
     def test_zero_load(self, square3):
         _, sys = square3
@@ -105,7 +167,7 @@ class TestSolveState:
         mesh = build_mesh(DomainSpec(Shape.UNIT_SQUARE, 6, 6))
         for eps in (1e-3, 0.7):
             sys = assemble(mesh, eps)
-            load = eps * (sys.M @ np.ones(sys.n_nodes))
+            load = eps * (stiffness_and_mass(mesh)[1] @ np.ones(sys.n_nodes))
             u = sys.solver.solve(load)
             np.testing.assert_allclose(u, 1.0, atol=1e-10)
 
@@ -134,10 +196,8 @@ class TestSolveState:
     def test_resonance_is_singular(self):
         # epsilon tuned to a generalized eigenvalue of (K, M)
         mesh = build_mesh(DomainSpec(Shape.UNIT_SQUARE, 4, 4))
-        sys = assemble(mesh, 1.0)
-        eigs = scipy.linalg.eigh(
-            sys.K_sigma.toarray(), sys.M.toarray(), eigvals_only=True
-        )
+        K, M = stiffness_and_mass(mesh)
+        eigs = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)
         resonant = assemble(mesh, -float(eigs[3]))
         with pytest.raises(SingularState):
             StateSolver(resonant)

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse
 
 from nullsrc import DomainSpec, InvalidSpec, Shape, build_mesh, refine_uniform
-from nullsrc.mesh import Mesh, _boundary_structure, prolongation, triangle_areas
+from nullsrc.mesh import Mesh, _boundary_structure, prolongation
 
 
 def boundary_length(mesh):
@@ -136,7 +136,14 @@ class TestBuildMesh:
 
     def test_positive_areas(self):
         for spec in (DomainSpec(Shape.UNIT_SQUARE, 5, 3), DomainSpec(Shape.L_SHAPE, 4, 6)):
-            assert np.all(triangle_areas(build_mesh(spec)) > 0)
+            assert np.all(build_mesh(spec).triangle_areas > 0)
+
+    def test_areas_are_cached_and_read_only(self):
+        mesh = build_mesh(DomainSpec(Shape.L_SHAPE, 4, 4))
+        areas = mesh.triangle_areas
+        assert mesh.triangle_areas is areas
+        with pytest.raises(ValueError, match="read-only"):
+            areas[0] = 1.0
 
     @pytest.mark.parametrize(
         "spec,area,perimeter",
@@ -147,7 +154,7 @@ class TestBuildMesh:
     )
     def test_area_and_perimeter(self, spec, area, perimeter):
         mesh = build_mesh(spec)
-        assert triangle_areas(mesh).sum() == pytest.approx(area, rel=1e-12)
+        assert mesh.triangle_areas.sum() == pytest.approx(area, rel=1e-12)
         assert boundary_length(mesh) == pytest.approx(perimeter, rel=1e-12)
 
     def test_boundary_nodes_are_edge_endpoints(self):
@@ -196,7 +203,7 @@ class TestRefineUniform:
     def test_area_preserved(self):
         coarse = build_mesh(DomainSpec(Shape.L_SHAPE, 6, 6))
         fine = refine_uniform(coarse)
-        assert triangle_areas(fine).sum() == pytest.approx(0.75, rel=1e-12)
+        assert fine.triangle_areas.sum() == pytest.approx(0.75, rel=1e-12)
 
     def test_boundary_preserved_under_refinement(self):
         coarse = build_mesh(DomainSpec(Shape.UNIT_SQUARE, 2, 2))
@@ -208,7 +215,7 @@ class TestRefineUniform:
         once = refine_uniform(mesh)
         twice = refine_uniform(once)
         assert twice.n_nodes == 81
-        assert triangle_areas(twice).min() > 0
+        assert twice.triangle_areas.min() > 0
 
 
 class TestProlongation:

@@ -82,6 +82,11 @@ class TestTikhonov:
             with pytest.raises(ValueError):
                 solve_method(fm, sd, np.ones(2), alpha, Method.METHOD_II)
 
+    @pytest.mark.parametrize("alpha", [float("inf"), float("nan")])
+    def test_rejects_non_finite_alpha(self, alpha):
+        with pytest.raises(ValueError, match="finite"):
+            tikhonov(np.eye(2), np.ones(2), alpha)
+
     def test_weighted_normal_equations_satisfied(self):
         rng = np.random.default_rng(34)
         A = rng.standard_normal((7, 5))
