@@ -4,7 +4,10 @@ The numpy and scipy wheels each ship their own OpenBLAS with its own
 thread pool. The pipeline's dense kernels are small (SVDs of at most
 128 x 256, a few hundred right-hand sides), so they gain nothing from
 threads, while idle workers of one pool keep the CPU busy and slow the
-other pool and the main thread.
+other pool and the main thread. The pipeline's parallelism is at the
+level of whole stages instead: a nested run_experiment synthesizes its
+data on the calling thread while one worker thread computes the SVDs,
+each thread calling BLAS at one thread of its own.
 """
 
 from __future__ import annotations

@@ -5,12 +5,24 @@ coarse (inversion) mesh through the nested-node injection, optionally
 perturbed by seeded Gaussian noise, and inverted by the requested
 methods. The fine mesh, system and basis live only while the data are
 synthesized. Runs are bit-reproducible for a fixed configuration.
+
+A nested run builds its forward matrix first, then synthesizes its data
+on the calling thread while one worker thread computes the two SVDs.
+The branches share nothing but read-only arrays, and LAPACK releases the
+GIL for a whole SVD. The sparse solves stay on the calling thread:
+SuperLU takes the GIL back for each allocation, so beside a thread that
+runs Python it waits out the interpreter's switch interval. Each branch
+computes exactly what it computes alone, so results are bit-identical to
+running them in turn, and an error is the one that order raises first.
+Inverse-crime runs have no fine side to overlap and stay on one thread.
 """
 
 from __future__ import annotations
 
+import contextvars
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -35,7 +47,7 @@ from .solvers import (
     morozov,
     solve_method,
 )
-from .spectral import RANK_TOL_REL, analyze, build_forward_model
+from .spectral import RANK_TOL_REL, ForwardModel, analyze, build_forward_model
 
 _METHOD_ALIASES = {
     "standard": Method.STANDARD_TIKHONOV,
@@ -295,17 +307,42 @@ def _chebyshev_to_truth(
     return int(np.min(np.maximum(np.abs(coords[:, 0] - gx), np.abs(coords[:, 1] - gy))))
 
 
+def _forward_first(cfg: ExperimentConfig, setup: Setup) -> ForwardModel | None:
+    """The forward model of a nested run, built before its data so that
+    _synthesize can overlap the SVDs.
+
+    None for an inverse-crime run, or when the build fails: the run then
+    goes in turn, which raises the error that order meets first.
+    """
+    if cfg.inverse_crime:
+        return None
+    try:
+        return build_forward_model(setup.sys_inv, setup.basis_inv, setup.mesh_inv)
+    except (NullsrcError, MemoryError):
+        return None
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Full pipeline for every requested method.
 
     Per-method solver failures are recorded in the outcome instead of
-    aborting the remaining methods; setup-level failures propagate.
+    aborting the remaining methods; setup-level failures propagate. A
+    nested run overlaps _synthesize with analyze on one worker thread (see
+    the module docstring); a synthesis error wins over a worker error, as
+    it would when the two run in turn.
     """
     setup = build_setup(cfg)
-    syn = _synthesize(cfg, setup)
-
-    fm = build_forward_model(setup.sys_inv, setup.basis_inv, setup.mesh_inv)
-    sd = analyze(fm, cfg.rank_tol)
+    fm = _forward_first(cfg, setup)
+    if fm is None:
+        syn = _synthesize(cfg, setup)
+        fm = build_forward_model(setup.sys_inv, setup.basis_inv, setup.mesh_inv)
+        sd = analyze(fm, cfg.rank_tol)
+    else:
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            # the worker sees the caller's context, numpy's error state included
+            spectral = worker.submit(contextvars.copy_context().run, analyze, fm, cfg.rank_tol)
+            syn = _synthesize(cfg, setup)
+            sd = spectral.result()
     b_hat = fm.R @ syn.d_noisy
 
     truth_values = coefficients_to_cell_field(setup.basis_inv, syn.truth_coeffs)

@@ -56,8 +56,9 @@ class CoefficientField:
     @classmethod
     def from_functions(cls, mesh: Mesh, f1, f2) -> "CoefficientField":
         """Sample two callables (x, y) -> kappa at triangle centroids."""
-        cent = mesh.nodes[mesh.triangles].mean(axis=1)
-        return cls.diagonal(f1(cent[:, 0], cent[:, 1]), f2(cent[:, 0], cent[:, 1]))
+        x, y = mesh.nodes[:, 0][mesh.triangles.T], mesh.nodes[:, 1][mesh.triangles.T]
+        cx, cy = (x[0] + x[1] + x[2]) / 3.0, (y[0] + y[1] + y[2]) / 3.0
+        return cls.diagonal(f1(cx, cy), f2(cx, cy))
 
 
 @dataclass(frozen=True)
@@ -243,10 +244,11 @@ def solve_data(
         return sys.solver.solve(load), DataSolve("splu")
     S = sys.S
     jacobi = JACOBI_OMEGA / S.diagonal()
+    restrict = P.T.tocsr()
 
     def two_grid(r: np.ndarray) -> np.ndarray:
         x = jacobi * r
-        x += P @ coarse.solver.solve(P.T @ (r - S @ x))
+        x += P @ coarse.solver.solve(restrict @ (r - S @ x))
         x += jacobi * (r - S @ x)
         return x
 

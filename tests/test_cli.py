@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -133,6 +134,17 @@ def test_solver_error_exits_1(tmp_path, capsys):
     code = main(["preset", "ex1", "--out", str(out), "--override", "epsilon=0"])
     assert code == 1
     assert "SingularState" in capsys.readouterr().err
+
+
+def test_config_error_wins_over_a_singular_inversion_system(tmp_path, capsys):
+    # epsilon = 0 makes the inversion system singular, but in turn the data
+    # synthesis meets the out-of-range true-source cell before any factor
+    cfg = replace(builtin_presets()["ex5a"], epsilon=0.0, true_source=((999, 1.0),))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config_to_dict(cfg)))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "true-source cell 999" in err and "SingularState" not in err
 
 
 @pytest.mark.parametrize("epsilon", ["0", "1e-14"])

@@ -1,18 +1,23 @@
 """Experiment pipeline tests: data generation, noise, presets, exports."""
 
 import json
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import nullsrc.experiments
 import nullsrc.fem
-from nullsrc import ConfigError, DomainSpec, Method, NullsrcError, Shape
+from nullsrc import ConfigError, DegenerateBasis, DomainSpec, Method, NullsrcError, Shape
 from nullsrc.experiments import (
     ExperimentConfig,
     MorozovRule,
     SigmaSpec,
+    _synthesize,
     add_noise,
     apply_overrides,
+    build_setup,
     builtin_presets,
     config_from_dict,
     config_to_dict,
@@ -175,10 +180,12 @@ class TestRunExperiment:
 
     @staticmethod
     def _check_factor_count(monkeypatch, factors, **overrides):
+        # every factor is made on the calling thread, which also frees it
         calls = []
         original = nullsrc.fem.StateSolver
 
         def counting(sys):
+            assert threading.current_thread() is threading.main_thread()
             calls.append(sys)
             return original(sys)
 
@@ -206,6 +213,65 @@ class TestRunExperiment:
         assert res.s_min_retained == sd.s[sd.rank - 1]
         assert res.s_min_retained >= cfg.rank_tol * res.s_max
         assert res.s_min < cfg.rank_tol * res.s_max
+
+
+class TestOverlap:
+    """A nested run overlaps _synthesize with analyze, the SVDs, on a worker thread."""
+
+    @staticmethod
+    def _record_analyze(monkeypatch):
+        seen = {}
+        original = nullsrc.experiments.analyze
+
+        def recording(fm, rank_tol):
+            seen["thread"] = threading.current_thread()
+            seen["sd"] = original(fm, rank_tol)
+            return seen["sd"]
+
+        monkeypatch.setattr(nullsrc.experiments, "analyze", recording)
+        return seen
+
+    @pytest.mark.parametrize("preset, overlapped", [("ex5a", True), ("ex7b", True), ("ex1", False)])
+    def test_overlapped_run_equals_the_steps_in_turn(self, monkeypatch, preset, overlapped):
+        from nullsrc import analyze, build_forward_model, solve_method
+
+        cfg = builtin_presets()[preset]
+        seen = self._record_analyze(monkeypatch)
+        result = run_experiment(cfg)
+        assert (seen["thread"] is not threading.main_thread()) == overlapped
+
+        setup = build_setup(cfg)
+        syn = _synthesize(cfg, setup)
+        fm = build_forward_model(setup.sys_inv, setup.basis_inv, setup.mesh_inv)
+        sd = analyze(fm, cfg.rank_tol)
+        assert np.array_equal(result.d, syn.d)
+        assert np.array_equal(result.d_noisy, syn.d_noisy)
+        assert result.data_solve == syn.data_solve
+        assert np.array_equal(seen["sd"].s, sd.s)
+        assert np.array_equal(seen["sd"].p_norms, sd.p_norms)
+        b_hat = fm.R @ syn.d_noisy
+        for method in cfg.methods:
+            coeffs = solve_method(fm, sd, b_hat, cfg.alpha, method).coeffs
+            assert np.array_equal(result.outcomes[method.value].result.coeffs, coeffs)
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        def degenerate(fm, rank_tol):
+            raise DegenerateBasis(3, 0.0)
+
+        monkeypatch.setattr(nullsrc.experiments, "analyze", degenerate)
+        with pytest.raises(DegenerateBasis) as info:
+            run_experiment(builtin_presets()["ex5a"])
+        assert info.value.index == 3
+
+    def test_synthesis_error_wins_over_a_worker_error(self, monkeypatch):
+        # in turn, _synthesize meets the bad cell before the SVDs run
+        def degenerate(fm, rank_tol):
+            raise DegenerateBasis(3, 0.0)
+
+        monkeypatch.setattr(nullsrc.experiments, "analyze", degenerate)
+        cfg = replace(builtin_presets()["ex5a"], true_source=((999, 1.0),))
+        with pytest.raises(ConfigError, match="true-source cell 999"):
+            run_experiment(cfg)
 
 
 class TestPresets:
