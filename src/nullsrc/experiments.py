@@ -19,7 +19,6 @@ Inverse-crime runs have no fine side to overlap and stay on one thread.
 
 from __future__ import annotations
 
-import contextvars
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -47,7 +46,7 @@ from .solvers import (
     morozov,
     solve_method,
 )
-from .spectral import RANK_TOL_REL, ForwardModel, analyze, build_forward_model
+from .spectral import RANK_TOL_REL, analyze, build_forward_model
 
 _METHOD_ALIASES = {
     "standard": Method.STANDARD_TIKHONOV,
@@ -307,40 +306,28 @@ def _chebyshev_to_truth(
     return int(np.min(np.maximum(np.abs(coords[:, 0] - gx), np.abs(coords[:, 1] - gy))))
 
 
-def _forward_first(cfg: ExperimentConfig, setup: Setup) -> ForwardModel | None:
-    """The forward model of a nested run, built before its data so that
-    _synthesize can overlap the SVDs.
-
-    None for an inverse-crime run, or when the build fails: the run then
-    goes in turn, which raises the error that order meets first.
-    """
-    if cfg.inverse_crime:
-        return None
-    try:
-        return build_forward_model(setup.sys_inv, setup.basis_inv, setup.mesh_inv)
-    except (NullsrcError, MemoryError):
-        return None
-
-
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Full pipeline for every requested method.
 
     Per-method solver failures are recorded in the outcome instead of
     aborting the remaining methods; setup-level failures propagate. A
     nested run overlaps _synthesize with analyze on one worker thread (see
-    the module docstring); a synthesis error wins over a worker error, as
-    it would when the two run in turn.
+    the module docstring); the error raised is the one that running the
+    steps in turn meets first.
     """
     setup = build_setup(cfg)
-    fm = _forward_first(cfg, setup)
-    if fm is None:
+    if cfg.inverse_crime:
         syn = _synthesize(cfg, setup)
         fm = build_forward_model(setup.sys_inv, setup.basis_inv, setup.mesh_inv)
         sd = analyze(fm, cfg.rank_tol)
     else:
+        try:
+            fm = build_forward_model(setup.sys_inv, setup.basis_inv, setup.mesh_inv)
+        except NullsrcError:
+            _synthesize(cfg, setup)  # in turn the synthesis runs first, so its error wins
+            raise
         with ThreadPoolExecutor(max_workers=1) as worker:
-            # the worker sees the caller's context, numpy's error state included
-            spectral = worker.submit(contextvars.copy_context().run, analyze, fm, cfg.rank_tol)
+            spectral = worker.submit(analyze, fm, cfg.rank_tol)
             syn = _synthesize(cfg, setup)
             sd = spectral.result()
     b_hat = fm.R @ syn.d_noisy

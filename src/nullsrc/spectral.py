@@ -21,7 +21,6 @@ from .mesh import Mesh
 
 RANK_TOL_REL = 1e-12
 DEGENERATE_TOL = 1e-8
-SOLVE_BLOCK = 64  # right-hand sides per sparse solve in build_forward_model
 
 Svd = tuple[np.ndarray, np.ndarray, np.ndarray]  # thin SVD (U, s, V), V as columns
 
@@ -78,26 +77,17 @@ def build_forward_model(sys: FemSystem, basis: ControlBasis, mesh: Mesh) -> Forw
     too: with fewer boundary nodes than controls, the factor solves the
     unit columns and M_cf^T maps the solutions to A; otherwise it solves
     the dense basis loads and the trace keeps their boundary rows. The
-    right-hand sides are solved SOLVE_BLOCK at a time and A is filled
-    block by block, so only one block of dense loads and solutions is
-    held at once. The factor and R are the ones cached on sys, so data
-    synthesis on the same system reuses them instead of factoring again.
+    factor and R are the ones cached on sys, so data synthesis on the
+    same system reuses them instead of factoring again.
     """
     M_cf = control_load_matrix(basis, mesh)
     n_boundary = len(sys.trace_map)
     if n_boundary < basis.n:
-        At = np.empty((basis.n, n_boundary))  # A^T, so A keeps the layout of one full solve
-        for j in range(0, n_boundary, SOLVE_BLOCK):
-            nodes = sys.trace_map[j : j + SOLVE_BLOCK]
-            E_b = np.zeros((sys.n_nodes, len(nodes)), order="F")
-            E_b[nodes, np.arange(len(nodes))] = 1.0
-            At[:, j : j + SOLVE_BLOCK] = M_cf.T @ sys.solver.solve(E_b)
-        A = At.T
+        E_b = np.zeros((sys.n_nodes, n_boundary), order="F")
+        E_b[sys.trace_map, np.arange(n_boundary)] = 1.0
+        A = (M_cf.T @ sys.solver.solve(E_b)).T
     else:
-        A = np.empty((n_boundary, basis.n))
-        for j in range(0, basis.n, SOLVE_BLOCK):
-            block = slice(j, j + SOLVE_BLOCK)
-            A[:, block] = sys.solver.solve(M_cf[:, block].toarray())[sys.trace_map]
+        A = sys.solver.solve(M_cf.toarray())[sys.trace_map]
     return ForwardModel(A=A, R=sys.R, A_hat=sys.R @ A)
 
 

@@ -9,7 +9,7 @@ import pytest
 
 import nullsrc.experiments
 import nullsrc.fem
-from nullsrc import ConfigError, DegenerateBasis, DomainSpec, Method, NullsrcError, Shape
+from nullsrc import ConfigError, DegenerateBasis, DomainSpec, Method, NullsrcError, Shape, SingularState
 from nullsrc.experiments import (
     ExperimentConfig,
     MorozovRule,
@@ -272,6 +272,24 @@ class TestOverlap:
         cfg = replace(builtin_presets()["ex5a"], true_source=((999, 1.0),))
         with pytest.raises(ConfigError, match="true-source cell 999"):
             run_experiment(cfg)
+
+    def test_forward_error_after_the_synthesis(self, monkeypatch):
+        # a failed forward build still lets the data synthesis run first
+        synthesized = []
+        original = nullsrc.experiments._synthesize
+
+        def failing(*args):
+            raise SingularState("forward build")
+
+        def recording(cfg, setup):
+            synthesized.append(cfg)
+            return original(cfg, setup)
+
+        monkeypatch.setattr(nullsrc.experiments, "build_forward_model", failing)
+        monkeypatch.setattr(nullsrc.experiments, "_synthesize", recording)
+        with pytest.raises(SingularState, match="forward build"):
+            run_experiment(builtin_presets()["ex5a"])
+        assert len(synthesized) == 1
 
 
 class TestPresets:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import nullsrc.fem
-import nullsrc.spectral
 from nullsrc import (
     DegenerateBasis,
     DomainSpec,
@@ -20,7 +19,7 @@ from nullsrc import (
 )
 from nullsrc.control_space import control_load_matrix
 from nullsrc.experiments import build_setup, builtin_presets
-from nullsrc.spectral import RANK_TOL_REL, SOLVE_BLOCK, numerical_rank
+from nullsrc.spectral import RANK_TOL_REL, numerical_rank
 from nullsrc.verify import random_rank_deficient
 
 
@@ -97,11 +96,6 @@ def solve_cols(monkeypatch):
     return cols
 
 
-def blocks(cols):
-    """Column counts of the solves that cover cols right-hand sides SOLVE_BLOCK at a time."""
-    return [min(SOLVE_BLOCK, cols - j) for j in range(0, cols, SOLVE_BLOCK)]
-
-
 class TestForwardBuild:
     """Both sides of the build agree with a dense solve of every control load."""
 
@@ -115,7 +109,7 @@ class TestForwardBuild:
         mesh, sys, basis, n_boundary, n_controls = case
         assert (len(sys.trace_map), basis.n) == (n_boundary, n_controls)
         A = build_forward_model(sys, basis, mesh).A
-        assert solve_cols == blocks(min(n_boundary, n_controls))
+        assert solve_cols == [min(n_boundary, n_controls)]
         M_cf = control_load_matrix(basis, mesh).toarray()
         # the same factor on every control load: equal up to rounding
         per_control = sys.solver.solve(M_cf)[sys.trace_map]
@@ -135,16 +129,7 @@ class TestForwardBuild:
     def test_preset_build_solves_the_smaller_side(self, solve_cols, preset, cols):
         setup = build_setup(builtin_presets()[preset])
         build_forward_model(setup.sys_inv, setup.basis_inv, setup.mesh_inv)
-        assert solve_cols == blocks(cols)
-
-    @pytest.mark.parametrize("preset", ["ex5a", "ex7b"])
-    def test_blocks_match_one_solve_of_every_column(self, monkeypatch, preset):
-        # at preset size the blocked solves round exactly like one solve
-        setup = build_setup(builtin_presets()[preset])
-        blocked = build_forward_model(setup.sys_inv, setup.basis_inv, setup.mesh_inv)
-        monkeypatch.setattr(nullsrc.spectral, "SOLVE_BLOCK", 10**6)
-        whole = build_forward_model(setup.sys_inv, setup.basis_inv, setup.mesh_inv)
-        assert np.array_equal(blocked.A, whole.A) and np.array_equal(blocked.A_hat, whole.A_hat)
+        assert solve_cols == [cols]
 
 
 class TestAnalyze:
