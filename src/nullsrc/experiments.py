@@ -14,7 +14,10 @@ SuperLU takes the GIL back for each allocation, so beside a thread that
 runs Python it waits out the interpreter's switch interval. Each branch
 computes exactly what it computes alone, so results are bit-identical to
 running them in turn, and an error is the one that order raises first.
-Inverse-crime runs have no fine side to overlap and stay on one thread.
+Inverse-crime runs have no fine side to overlap and stay on one thread:
+on ex1 the hand-off costs more than the overlap saves (7.9 ms in turn
+against 8.9 to 9.6 ms through the worker thread, in-process medians on
+2 vCPUs with one BLAS thread; in turn won 19 of 20 alternating pairs).
 """
 
 from __future__ import annotations
@@ -123,9 +126,7 @@ class ExperimentConfig:
 
 @dataclass
 class MethodOutcome:
-    method: Method
     result: SolveResult | None = None
-    values: np.ndarray | None = None  # recovered cell field on the inverse grid
     l2_error: float | None = None
     argmax_chebyshev: int | None = None
     error: str | None = None
@@ -134,14 +135,9 @@ class MethodOutcome:
 @dataclass
 class ExperimentResult:
     config: ExperimentConfig
+    mesh_inverse: Mesh
     basis_inverse: ControlBasis
-    boundary_nodes: np.ndarray
-    boundary_xy: np.ndarray
-    d: np.ndarray
-    d_noisy: np.ndarray
-    delta: float
-    gamma: float
-    truth_coeffs: np.ndarray  # truth projected onto the inverse grid
+    synthesis: Synthesis
     truth_values: np.ndarray
     outcomes: dict[str, MethodOutcome] = field(default_factory=dict)
     w_min: float = 0.0
@@ -151,7 +147,6 @@ class ExperimentResult:
     s_min: float = 0.0
     s_min_retained: float = 0.0  # smallest singular value above the rank cut
     rank_cut: float = 0.0  # rank_tol * s_max: singular values above it are retained
-    data_solve: DataSolve | None = None
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
@@ -336,14 +331,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     result = ExperimentResult(
         config=cfg,
+        mesh_inverse=setup.mesh_inv,
         basis_inverse=setup.basis_inv,
-        boundary_nodes=setup.mesh_inv.boundary_nodes.copy(),
-        boundary_xy=setup.mesh_inv.nodes[setup.mesh_inv.boundary_nodes],
-        d=syn.d,
-        d_noisy=syn.d_noisy,
-        delta=syn.delta,
-        gamma=syn.gamma,
-        truth_coeffs=syn.truth_coeffs,
+        synthesis=syn,
         truth_values=truth_values,
         w_min=float(sd.p_norms.min()),
         w_max=float(sd.p_norms.max()),
@@ -352,13 +342,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         s_min=float(sd.s[-1]),
         s_min_retained=float(sd.s[sd.rank - 1]) if sd.rank else 0.0,
         rank_cut=float(sd.rank_tol * sd.s[0]),
-        data_solve=syn.data_solve,
     )
 
     # an overflowing residual or error norm is reported by the check below
     with np.errstate(over="ignore"):
         for method in cfg.methods:
-            outcome = MethodOutcome(method=method)
+            outcome = MethodOutcome()
             try:
                 if isinstance(cfg.alpha, MorozovRule):
                     _, solved = morozov(
@@ -378,7 +367,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 if bad:
                     raise IllConditioned(f"non-finite {' and '.join(bad)}: the data are too large")
                 outcome.result = solved
-                outcome.values = coefficients_to_cell_field(setup.basis_inv, solved.coeffs)
                 outcome.l2_error = l2_error
                 outcome.argmax_chebyshev = _chebyshev_to_truth(
                     setup.basis_inv, solved.argmax_cell, truth_values
@@ -519,7 +507,7 @@ def export_result(result: ExperimentResult, out_dir: str | Path) -> Path:
     A NaN or infinite manifest number raises NullsrcError before any file
     is written, so no non-standard JSON reaches disk.
     """
-    basis = result.basis_inverse
+    basis, syn, mesh = result.basis_inverse, result.synthesis, result.mesh_inverse
     methods_manifest: dict[str, dict] = {}
     touches = cell_touches_boundary(basis)
     for name, outcome in result.outcomes.items():
@@ -538,8 +526,8 @@ def export_result(result: ExperimentResult, out_dir: str | Path) -> Path:
         }
     manifest = {
         "config": config_to_dict(result.config),
-        "gamma": result.gamma,
-        "delta": result.delta,
+        "gamma": syn.gamma,
+        "delta": syn.delta,
         "w_min": result.w_min,
         "w_max": result.w_max,
         "rank": result.rank,
@@ -547,9 +535,7 @@ def export_result(result: ExperimentResult, out_dir: str | Path) -> Path:
         "s_min": result.s_min,
         "s_min_retained": result.s_min_retained,
         "rank_cut": result.rank_cut,
-        "data_solve": {
-            key: value for key, value in vars(result.data_solve).items() if value is not None
-        },
+        "data_solve": {key: value for key, value in vars(syn.data_solve).items() if value is not None},
         "methods": methods_manifest,
     }
     try:
@@ -564,9 +550,10 @@ def export_result(result: ExperimentResult, out_dir: str | Path) -> Path:
     _write_csv(out / "true_source.csv", "cell,cx,cy,value", cells, _text(result.truth_values))
     for name, outcome in result.outcomes.items():
         if outcome.error is None:
-            _write_csv(out / f"source_{name}.csv", "cell,cx,cy,value", cells, _text(outcome.values))
-    nodes = [str(int(i)) for i in result.boundary_nodes]
-    boundary = (*result.boundary_xy.T, result.d, result.d_noisy)
+            values = coefficients_to_cell_field(basis, outcome.result.coeffs)
+            _write_csv(out / f"source_{name}.csv", "cell,cx,cy,value", cells, _text(values))
+    nodes = [str(int(i)) for i in mesh.boundary_nodes]
+    boundary = (*mesh.nodes[mesh.boundary_nodes].T, syn.d, syn.d_noisy)
     _write_csv(out / "boundary.csv", "node,x,y,d,d_noisy", nodes, *map(_text, boundary))
     (out / "manifest.json").write_text(manifest_text)
     return out / "manifest.json"

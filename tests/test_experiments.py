@@ -10,6 +10,7 @@ import pytest
 import nullsrc.experiments
 import nullsrc.fem
 from nullsrc import ConfigError, DegenerateBasis, DomainSpec, Method, NullsrcError, Shape, SingularState
+from nullsrc.control_space import coefficients_to_cell_field
 from nullsrc.experiments import (
     ExperimentConfig,
     MorozovRule,
@@ -143,11 +144,11 @@ class TestRunExperiment:
         res = run_experiment(cfg)
         expected = np.zeros(64)
         expected[34] = 1.0
-        np.testing.assert_allclose(res.truth_coeffs, expected, atol=1e-12)
+        np.testing.assert_allclose(res.synthesis.truth_coeffs, expected, atol=1e-12)
         out = res.outcomes["method_ii"]
         assert out.error is None
         assert out.argmax_chebyshev <= 1
-        recomputed = float(np.linalg.norm(out.result.coeffs - res.truth_coeffs))
+        recomputed = float(np.linalg.norm(out.result.coeffs - res.synthesis.truth_coeffs))
         assert recomputed == pytest.approx(out.l2_error, rel=1e-10)
 
     def test_per_method_error_capture(self):
@@ -214,6 +215,29 @@ class TestRunExperiment:
         assert res.s_min_retained >= cfg.rank_tol * res.s_max
         assert res.s_min < cfg.rank_tol * res.s_max
 
+    def test_fine_mesh_only_resonance_raises(self):
+        # epsilon at an eigenvalue of the fine pencil (K, M) that the 8x8
+        # inversion mesh does not share: the coarse system factors, and only
+        # the fine data solve can see the resonance; no data may come back.
+        # The fine pivot ratio reads about 5e-13, a factor 2 below PIVOT_TOL
+        import scipy.linalg
+
+        from nullsrc import build_mesh, refine_uniform
+        from nullsrc.fem import stiffness_and_mass
+
+        K, M = stiffness_and_mass(refine_uniform(build_mesh(DomainSpec(Shape.UNIT_SQUARE, 8, 8))))
+        eigs = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)
+        assert eigs[6] == pytest.approx(50.1559, abs=1e-4)
+        cfg = crime_cfg(
+            domain=DomainSpec(Shape.UNIT_SQUARE, 16, 16),
+            inverse_crime=False,
+            epsilon=-float(eigs[6]),
+            true_source=((18, 1.0), (45, 1.0)),
+        )
+        build_setup(cfg).sys_inv.solver  # the coarse factor passes its pivot check
+        with pytest.raises(SingularState):
+            run_experiment(cfg)
+
 
 class TestOverlap:
     """A nested run overlaps _synthesize with analyze, the SVDs, on a worker thread."""
@@ -244,9 +268,9 @@ class TestOverlap:
         syn = _synthesize(cfg, setup)
         fm = build_forward_model(setup.sys_inv, setup.basis_inv, setup.mesh_inv)
         sd = analyze(fm, cfg.rank_tol)
-        assert np.array_equal(result.d, syn.d)
-        assert np.array_equal(result.d_noisy, syn.d_noisy)
-        assert result.data_solve == syn.data_solve
+        assert np.array_equal(result.synthesis.d, syn.d)
+        assert np.array_equal(result.synthesis.d_noisy, syn.d_noisy)
+        assert result.synthesis.data_solve == syn.data_solve
         assert np.array_equal(seen["sd"].s, sd.s)
         assert np.array_equal(seen["sd"].p_norms, sd.p_norms)
         b_hat = fm.R @ syn.d_noisy
@@ -389,16 +413,17 @@ class TestExport:
         assert int(first[0]) == 0
         assert float(first[1]) == res.basis_inverse.cell_centers[0, 0]
         values = np.array([float(ln.split(",")[3]) for ln in lines[1:]])
-        np.testing.assert_array_equal(values, res.outcomes["method_i"].values)
+        expected = coefficients_to_cell_field(res.basis_inverse, res.outcomes["method_i"].result.coeffs)
+        np.testing.assert_array_equal(values, expected)
 
     def test_boundary_csv_schema(self, exported):
         out, res = exported
         lines = (out / "boundary.csv").read_text().splitlines()
         assert lines[0] == "node,x,y,d,d_noisy"
-        assert len(lines) == 1 + len(res.boundary_nodes)
+        assert len(lines) == 1 + len(res.mesh_inverse.boundary_nodes)
         row = lines[1].split(",")
-        assert int(row[0]) == res.boundary_nodes[0]
-        assert float(row[3]) == res.d[0]
+        assert int(row[0]) == res.mesh_inverse.boundary_nodes[0]
+        assert float(row[3]) == res.synthesis.d[0]
 
     def test_csv_fields_are_repr_of_floats(self, exported):
         # reference built row by row, as the exporter wrote it before it
@@ -415,10 +440,12 @@ class TestExport:
 
         cells = (range(len(centers)), centers[:, 0], centers[:, 1])
         expected = {"true_source.csv": res.truth_values}
-        expected.update({f"source_{name}.csv": o.values for name, o in res.outcomes.items()})
+        for name, o in res.outcomes.items():
+            expected[f"source_{name}.csv"] = coefficients_to_cell_field(res.basis_inverse, o.result.coeffs)
         for name, values in expected.items():
             assert (out / name).read_text() == reference("cell,cx,cy,value", *cells, values)
-        boundary = (res.boundary_nodes, *res.boundary_xy.T, res.d, res.d_noisy)
+        mesh, syn = res.mesh_inverse, res.synthesis
+        boundary = (mesh.boundary_nodes, *mesh.nodes[mesh.boundary_nodes].T, syn.d, syn.d_noisy)
         assert (out / "boundary.csv").read_text() == reference("node,x,y,d,d_noisy", *boundary)
 
     def test_manifest_contents(self, exported):
