@@ -1,13 +1,14 @@
 """Run a block of work with every bundled OpenBLAS pool at one thread.
 
 The numpy and scipy wheels each ship their own OpenBLAS with its own
-thread pool. The pipeline's dense kernels are small (SVDs of at most
-128 x 256, a few hundred right-hand sides), so they gain nothing from
-threads, while idle workers of one pool keep the CPU busy and slow the
-other pool and the main thread. The pipeline's parallelism is at the
-level of whole stages instead: a nested run_experiment synthesizes its
-data on the calling thread while one worker thread computes the SVDs,
-each thread calling BLAS at one thread of its own.
+thread pool. At preset size the pipeline's dense kernels are small
+(SVDs of 128 x 256, a few hundred right-hand sides) and gain nothing
+from threads; they grow with the mesh (A_hat is 1,024 x 256 on a
+512x512-cell fine mesh). Idle workers of one pool keep the CPU busy and
+slow the other pool and the main thread. The pipeline's parallelism is
+at the level of whole stages instead: a nested run_experiment
+synthesizes its data on the calling thread while one worker thread
+computes the SVDs, each thread calling BLAS at one thread of its own.
 """
 
 from __future__ import annotations

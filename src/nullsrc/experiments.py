@@ -6,18 +6,20 @@ perturbed by seeded Gaussian noise, and inverted by the requested
 methods. The fine mesh, system and basis live only while the data are
 synthesized. Runs are bit-reproducible for a fixed configuration.
 
-A nested run builds its forward matrix first, then synthesizes its data
-on the calling thread while one worker thread computes the two SVDs.
-The branches share nothing but read-only arrays, and LAPACK releases the
-GIL for a whole SVD. The sparse solves stay on the calling thread:
-SuperLU takes the GIL back for each allocation, so beside a thread that
-runs Python it waits out the interpreter's switch interval. Each branch
-computes exactly what it computes alone, so results are bit-identical to
-running them in turn, and an error is the one that order raises first.
-Inverse-crime runs have no fine side to overlap and stay on one thread:
-on ex1 the hand-off costs more than the overlap saves (7.9 ms in turn
-against 8.9 to 9.6 ms through the worker thread, in-process medians on
-2 vCPUs with one BLAS thread; in turn won 19 of 20 alternating pairs).
+Every run builds its forward matrix first, then synthesizes its data
+and computes the two SVDs; a nested run synthesizes on the calling
+thread while one worker thread computes the SVDs. The branches share
+nothing but read-only arrays, and LAPACK releases the GIL for a whole
+SVD. The sparse solves stay on the calling thread: SuperLU takes the GIL
+back for each allocation, so beside a thread that runs Python it waits
+out the interpreter's switch interval. Each step computes exactly what it
+computes alone, so results are bit-identical to running the synthesis,
+the forward build and the SVDs in turn, and an error is the one that
+order raises first. Inverse-crime runs have no fine side to overlap and
+stay on the calling thread: on ex1 the hand-off costs more than the
+overlap saves (7.9 ms in turn against 8.9 to 9.6 ms through the worker
+thread, in-process medians on 2 vCPUs with one BLAS thread; in turn won
+19 of 20 alternating pairs).
 """
 
 from __future__ import annotations
@@ -138,7 +140,6 @@ class ExperimentResult:
     mesh_inverse: Mesh
     basis_inverse: ControlBasis
     synthesis: Synthesis
-    truth_values: np.ndarray
     outcomes: dict[str, MethodOutcome] = field(default_factory=dict)
     w_min: float = 0.0
     w_max: float = 0.0
@@ -258,16 +259,12 @@ def _synthesize(cfg: ExperimentConfig, setup: Setup) -> Synthesis:
         mesh = refine_uniform(setup.mesh_inv)  # coarse nodes keep their indices
         sys = assemble(mesh, cfg.epsilon, cfg.sigma.materialize(mesh))
         coarse, P = setup.sys_inv, prolongation(setup.mesh_inv)
-    basis = (
-        setup.basis_inv
-        if cfg.inverse_crime and cfg.control_dims_forward == cfg.control_dims_inverse
-        else build_control_basis(mesh, *cfg.control_dims_forward)
-    )
+    basis = build_control_basis(mesh, *cfg.control_dims_forward)
     a = _true_coefficients(cfg, basis)
     with np.errstate(over="ignore", invalid="ignore"):  # the check below reports overflow
         load = source_load(basis, mesh, a)
         u, data_solve = solve_data(sys, load, coarse, P)
-    d = u[sys.trace_map][np.searchsorted(mesh.boundary_nodes, setup.mesh_inv.boundary_nodes)]
+    d = u[setup.sys_inv.trace_map]  # the forward mesh keeps the inversion node indices
     if not np.isfinite(d).all():
         amplitudes = [amplitude for _, amplitude in cfg.true_source]
         raise ConfigError(f"true-source amplitudes {amplitudes!r} give non-finite boundary data")
@@ -305,28 +302,26 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Full pipeline for every requested method.
 
     Per-method solver failures are recorded in the outcome instead of
-    aborting the remaining methods; setup-level failures propagate. A
-    nested run overlaps _synthesize with analyze on one worker thread (see
-    the module docstring); the error raised is the one that running the
-    steps in turn meets first.
+    aborting the remaining methods; setup-level failures propagate. Every
+    run builds its forward model first; a nested run then overlaps
+    _synthesize with analyze on one worker thread (see the module
+    docstring). The error raised is the one that running the steps in
+    turn meets first.
     """
     setup = build_setup(cfg)
-    if cfg.inverse_crime:
-        syn = _synthesize(cfg, setup)
+    try:
         fm = build_forward_model(setup.sys_inv, setup.basis_inv, setup.mesh_inv)
-        sd = analyze(fm, cfg.rank_tol)
+    except NullsrcError:
+        _synthesize(cfg, setup)  # in turn the synthesis runs first, so its error wins
+        raise
+    if cfg.inverse_crime:
+        syn, sd = _synthesize(cfg, setup), analyze(fm, cfg.rank_tol)
     else:
-        try:
-            fm = build_forward_model(setup.sys_inv, setup.basis_inv, setup.mesh_inv)
-        except NullsrcError:
-            _synthesize(cfg, setup)  # in turn the synthesis runs first, so its error wins
-            raise
         with ThreadPoolExecutor(max_workers=1) as worker:
             spectral = worker.submit(analyze, fm, cfg.rank_tol)
             syn = _synthesize(cfg, setup)
             sd = spectral.result()
     b_hat = fm.R @ syn.d_noisy
-
     truth_values = coefficients_to_cell_field(setup.basis_inv, syn.truth_coeffs)
 
     result = ExperimentResult(
@@ -334,7 +329,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         mesh_inverse=setup.mesh_inv,
         basis_inverse=setup.basis_inv,
         synthesis=syn,
-        truth_values=truth_values,
         w_min=float(sd.p_norms.min()),
         w_max=float(sd.p_norms.max()),
         rank=sd.rank,
@@ -547,7 +541,8 @@ def export_result(result: ExperimentResult, out_dir: str | Path) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     # the cell,cx,cy fields are formatted once and shared by every cell file
     cells = list(map(",".join, zip(map(str, range(basis.n)), *map(_text, basis.cell_centers.T))))
-    _write_csv(out / "true_source.csv", "cell,cx,cy,value", cells, _text(result.truth_values))
+    truth = coefficients_to_cell_field(basis, syn.truth_coeffs)
+    _write_csv(out / "true_source.csv", "cell,cx,cy,value", cells, _text(truth))
     for name, outcome in result.outcomes.items():
         if outcome.error is None:
             values = coefficients_to_cell_field(basis, outcome.result.coeffs)

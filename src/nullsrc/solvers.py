@@ -43,7 +43,6 @@ class SolveResult:
     coeffs: np.ndarray
     alpha: float
     residual: float
-    method: Method
     argmax_cell: int
     argmax_tieset: tuple[int, ...]
 
@@ -142,7 +141,7 @@ def solve_method(
     U, s, _ = _operator_svd(sd, method)
     residual = _residual(c, s, alpha, np.linalg.norm(b - U @ c), sd.rank)
     ties = np.flatnonzero(x >= x.max() - ARGMAX_TIE_TOL).tolist()
-    return SolveResult(x, alpha, residual, method, ties[0], tuple(ties))
+    return SolveResult(x, alpha, residual, ties[0], tuple(ties))
 
 
 def morozov(

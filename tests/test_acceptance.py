@@ -48,7 +48,6 @@ from nullsrc.verify import (
     check_minimum_norm_projection,
     check_norm_inequalities,
     check_projector_properties,
-    crime_system,
     expansion_deviation,
     random_rank_deficient,
 )
@@ -56,12 +55,6 @@ from nullsrc.verify import (
 
 def report(criterion: str, passed: bool, detail: str) -> None:
     print(f"{'PASS' if passed else 'FAIL'} {criterion}: {detail}")
-
-
-@pytest.fixture(scope="module")
-def crime8():
-    # criterion 2/3 setup: 8x8 control grid on the 9x9-node state mesh
-    return crime_system(mesh_cells=8, ctrl=8, epsilon=1e-3)
 
 
 def model_from_matrix(A):

@@ -11,14 +11,9 @@ from nullsrc import IllConditioned, Method, build_forward_model, min_norm_lsq, s
 from nullsrc.experiments import build_setup, builtin_presets
 from nullsrc.solvers import ARGMAX_TIE_TOL, method_coeffs
 from nullsrc.spectral import ForwardModel, analyze
-from nullsrc.verify import check_argmax_recovery, crime_system, run_all
+from nullsrc.verify import check_argmax_recovery, run_all
 
 ALPHAS = {method: (0.0 if method is Method.MIN_NORM else 1e-3) for method in Method}
-
-
-@pytest.fixture(scope="module")
-def crime8():
-    return crime_system(mesh_cells=8)
 
 
 @pytest.fixture(scope="module")

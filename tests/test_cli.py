@@ -136,10 +136,11 @@ def test_solver_error_exits_1(tmp_path, capsys):
     assert "SingularState" in capsys.readouterr().err
 
 
-def test_config_error_wins_over_a_singular_inversion_system(tmp_path, capsys):
+@pytest.mark.parametrize("preset", ["ex5a", "ex1"])
+def test_config_error_wins_over_a_singular_inversion_system(tmp_path, capsys, preset):
     # epsilon = 0 makes the inversion system singular, but in turn the data
     # synthesis meets the out-of-range true-source cell before any factor
-    cfg = replace(builtin_presets()["ex5a"], epsilon=0.0, true_source=((999, 1.0),))
+    cfg = replace(builtin_presets()[preset], epsilon=0.0, true_source=((999, 1.0),))
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config_to_dict(cfg)))
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2

@@ -297,7 +297,8 @@ class TestOverlap:
         with pytest.raises(ConfigError, match="true-source cell 999"):
             run_experiment(cfg)
 
-    def test_forward_error_after_the_synthesis(self, monkeypatch):
+    @pytest.mark.parametrize("preset", ["ex5a", "ex1"])
+    def test_forward_error_after_the_synthesis(self, monkeypatch, preset):
         # a failed forward build still lets the data synthesis run first
         synthesized = []
         original = nullsrc.experiments._synthesize
@@ -312,7 +313,7 @@ class TestOverlap:
         monkeypatch.setattr(nullsrc.experiments, "build_forward_model", failing)
         monkeypatch.setattr(nullsrc.experiments, "_synthesize", recording)
         with pytest.raises(SingularState, match="forward build"):
-            run_experiment(builtin_presets()["ex5a"])
+            run_experiment(builtin_presets()[preset])
         assert len(synthesized) == 1
 
 
@@ -439,7 +440,8 @@ class TestExport:
             return "\n".join([header, *rows]) + "\n"
 
         cells = (range(len(centers)), centers[:, 0], centers[:, 1])
-        expected = {"true_source.csv": res.truth_values}
+        truth = coefficients_to_cell_field(res.basis_inverse, res.synthesis.truth_coeffs)
+        expected = {"true_source.csv": truth}
         for name, o in res.outcomes.items():
             expected[f"source_{name}.csv"] = coefficients_to_cell_field(res.basis_inverse, o.result.coeffs)
         for name, values in expected.items():

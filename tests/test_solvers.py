@@ -39,11 +39,6 @@ def residual_from_coeffs(A_hat, sd, method, coeffs, b_hat):
 
 
 @pytest.fixture(scope="module")
-def crime8():
-    return crime_system(mesh_cells=8)
-
-
-@pytest.fixture(scope="module")
 def random_systems():
     rng = np.random.default_rng(31)
     systems = []
