@@ -1,20 +1,21 @@
-"""Time ex5a on a ladder of fine meshes for two source trees and record the numbers as JSON.
+"""Time ex5a and ex7b on a ladder of fine meshes for two source trees and record the numbers as JSON.
 
 Run from the repository root, with the source directory of each tree
 given as LABEL=PATH:
 
     python scripts/bench_ladder.py parent=OTHER_CHECKOUT/src change=src --out BENCH_<n>.json
 
-Each run is `run_experiment` on the ex5a preset with an n x n-cell fine
-mesh (so an n/2 x n/2 inversion mesh), in a fresh Python process whose
-OpenBLAS pools are capped at one thread. The process first runs the
-smallest rung once, untimed, so first-call costs stay out of the timing,
-then times one run and reports it with the peak RSS of the process. On
-every rung the two trees' processes alternate, and which tree goes first
+Each run is `run_experiment` on one preset, ex5a (epsilon > 0) or ex7b
+(epsilon < 0), with an n x n-cell fine mesh (so an n/2 x n/2 inversion
+mesh), in a fresh Python process whose OpenBLAS pools are capped at one
+thread. The process first runs the preset at the smallest rung once,
+untimed, so first-call costs stay out of the timing, then times one run
+and reports it with the peak RSS of the process. On every rung and for
+each preset the two trees' processes alternate, and which tree goes first
 alternates from pair to pair, so a machine that drifts in speed affects
 both alike. Every run is stored, with the median wall time and peak RSS
-per rung, under the tree's label, together with the core count and the
-Python, numpy and scipy versions.
+per rung and preset, under the tree's label, together with the core count
+and the Python, numpy and scipy versions.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import sys
 from pathlib import Path
 
 RUNGS = ((64, 10), (128, 10), (256, 6), (512, 3))  # (fine cells per side, runs per tree)
+PRESETS = ("ex5a", "ex7b")
 
 CHILD = """
 import json, resource, sys, time
@@ -37,10 +39,9 @@ import numpy, scipy
 from nullsrc import DomainSpec, Shape
 from nullsrc.experiments import builtin_presets, run_experiment
 
-warm, n = int(sys.argv[1]), int(sys.argv[2])
-ex5a = builtin_presets()["ex5a"]
-run_experiment(replace(ex5a, domain=DomainSpec(Shape.UNIT_SQUARE, warm, warm)))
-cfg = replace(ex5a, domain=DomainSpec(Shape.UNIT_SQUARE, n, n))
+preset, warm, n = builtin_presets()[sys.argv[1]], int(sys.argv[2]), int(sys.argv[3])
+run_experiment(replace(preset, domain=DomainSpec(Shape.UNIT_SQUARE, warm, warm)))
+cfg = replace(preset, domain=DomainSpec(Shape.UNIT_SQUARE, n, n))
 start = time.perf_counter()
 run_experiment(cfg)
 print(json.dumps({
@@ -52,13 +53,26 @@ print(json.dumps({
 """
 
 
-def run_once(src: Path, cells: int) -> dict:
+def run_once(src: Path, preset: str, cells: int) -> dict:
     env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
     done = subprocess.run(
-        [sys.executable, "-c", CHILD, str(RUNGS[0][0]), str(cells)],
+        [sys.executable, "-c", CHILD, preset, str(RUNGS[0][0]), str(cells)],
         capture_output=True, text=True, check=True, env=env,
     )
     return json.loads(done.stdout)
+
+
+def summarize(preset: str, cells: int, runs_of: list[dict]) -> dict:
+    wall = [s["wall_s"] for s in runs_of]
+    rss = [s["peak_rss_mb"] for s in runs_of]
+    return {
+        "preset": preset,
+        "fine_cells": cells,
+        "wall_s_median": statistics.median(wall),
+        "peak_rss_mb_median": statistics.median(rss),
+        "runs_s": wall,
+        "peak_rss_mb": rss,
+    }
 
 
 def source(spec: str) -> tuple[str, Path]:
@@ -80,30 +94,23 @@ def main(argv: list[str] | None = None) -> int:
     rungs: dict[str, list[dict]] = {label: [] for label, _ in args.sources}
     versions = {}
     for cells, runs in RUNGS:
-        samples: dict[str, list[dict]] = {label: [] for label, _ in args.sources}
-        for pair in range(runs):
-            for label, src in args.sources[:: 1 if pair % 2 == 0 else -1]:
-                sample = run_once(src, cells)
-                versions = {key: sample.pop(key) for key in ("numpy", "scipy")}
-                samples[label].append(sample)
-        for label, runs_of in samples.items():
-            wall = [s["wall_s"] for s in runs_of]
-            rss = [s["peak_rss_mb"] for s in runs_of]
-            rung = {
-                "fine_cells": cells,
-                "wall_s_median": statistics.median(wall),
-                "peak_rss_mb_median": statistics.median(rss),
-                "runs_s": wall,
-                "peak_rss_mb": rss,
-            }
-            print(f"{label} {cells}x{cells}: median {rung['wall_s_median']:.3f} s, "
-                  f"{rung['peak_rss_mb_median']:.0f} MB over {runs} runs", file=sys.stderr)
-            rungs[label].append(rung)
+        for preset in PRESETS:
+            samples: dict[str, list[dict]] = {label: [] for label, _ in args.sources}
+            for pair in range(runs):
+                for label, src in args.sources[:: 1 if pair % 2 == 0 else -1]:
+                    sample = run_once(src, preset, cells)
+                    versions = {key: sample.pop(key) for key in ("numpy", "scipy")}
+                    samples[label].append(sample)
+            for label, runs_of in samples.items():
+                rung = summarize(preset, cells, runs_of)
+                print(f"{label} {preset} {cells}x{cells}: median {rung['wall_s_median']:.3f} s, "
+                      f"{rung['peak_rss_mb_median']:.0f} MB over {runs} runs", file=sys.stderr)
+                rungs[label].append(rung)
 
     data = {
-        "benchmark": "nullsrc run_experiment(ex5a) with an n x n-cell fine mesh, one timed run "
-                     "per fresh process after an untimed 64x64 warm-up, one BLAS thread; the "
-                     "ladders' processes alternate on every rung",
+        "benchmark": "nullsrc run_experiment(ex5a, ex7b) with an n x n-cell fine mesh, one timed "
+                     "run per fresh process after an untimed 64x64 warm-up, one BLAS thread; the "
+                     "ladders' processes alternate on every rung and preset",
         "environment": {
             "cpu_count": os.cpu_count(),
             "machine": platform.machine(),

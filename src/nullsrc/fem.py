@@ -7,15 +7,34 @@ A system keeps only what runs read, the state matrix S and the boundary
 mass B; stiffness_and_mass builds the stiffness and mass matrices from the
 element matrices S is summed from.
 The state matrix of a system is factored once, by one sparse LU, and the
-factor is shared by every solve on that system.
+factor is shared by every solve on that system; a factorization that finds
+S singular is not repeated either.
 
-Synthetic data on a nested fine mesh need one fine solve. For epsilon > 0
-the fine state matrix is symmetric positive definite, and that solve is
-conjugate gradients preconditioned by one symmetric two-grid cycle through
-the coarse system's factor (Hackbusch, Multi-Grid Methods and
-Applications, 1985), so the fine matrix is never factored. For
-epsilon <= 0, or when CG misses its iteration cap, the fine matrix gets
-its own sparse LU.
+Synthetic data on a nested fine mesh need one fine solve, through one
+symmetric two-grid cycle on the coarse system's factor (Hackbusch,
+Multi-Grid Methods and Applications, 1985) as preconditioner, so the fine
+matrix is not factored:
+- epsilon > 0: S is symmetric positive definite, and the solve is
+  conjugate gradients;
+- epsilon <= 0: S is symmetric but may be indefinite, and the solve is
+  Bi-CGSTAB (van der Vorst, SIAM J. Sci. Stat. Comput., 1992).
+Without a coarse system, or when the Krylov solve stalls or misses its
+iteration cap, the fine matrix gets its own sparse LU.
+
+Singular states (pure Neumann, a resonance) raise SingularState. Every LU
+checks its pivot ratio against PIVOT_TOL. For epsilon <= 0 that check
+misses some resonances, so every solve path for those systems also runs
+one probe: it solves S z = r for a seeded standard-normal r and estimates
+est = |r| / (|z| |S|_1). If the solve's true residual is at most eta |r|,
+then est >= sigma_min(S) / ((1 + eta) |S|_1), so a nonsingular system is
+never flagged; at a resonance r has a component of about |r| / sqrt(n)
+along the null vector, and est stays near sigma_min sqrt(n) / |S|_1 while
+eta is well below 1 / sqrt(n). The state is singular when est is below
+SINGULAR_TOL. On the Krylov path the probe is a second Bi-CGSTAB solve to
+PROBE_RTOL, and it decides only when its true residual is at most
+2 PROBE_RTOL; otherwise the fine LU, which carries the probe, decides.
+Epsilon > 0 skips the probe: there est scales as epsilon h^2, which at
+fine meshes comes near any threshold that resonances stay below.
 """
 
 from __future__ import annotations
@@ -31,6 +50,8 @@ from .errors import NonPositiveCoefficient, SingularState
 from .mesh import Mesh
 
 PIVOT_TOL = 1e-12
+SINGULAR_TOL = 1e-10  # the probe's est; epsilon < 0 presets read 1e-3, resonances 1e-13
+PROBE_RTOL = 1e-4  # Bi-CGSTAB tolerance of the probe solve
 CG_RTOL = 1e-12
 CG_MAXITER = 50  # the presets need 16; strong anisotropy needs hundreds
 CG_CHECK_AT = 10  # iteration at which CG stops if its pace cannot meet CG_RTOL
@@ -80,10 +101,24 @@ class FemSystem:
     def n_nodes(self) -> int:
         return self.S.shape[0]
 
-    @cached_property
+    @property
     def solver(self) -> "StateSolver":
-        """The one factorization of S, made on first use and shared afterwards."""
-        return StateSolver(self)
+        """The one factorization of S, made on first use and shared afterwards.
+
+        A SingularState from that factorization is kept, and raised again on
+        every later use, so a singular S is factored and probed once.
+        """
+        factor = self._factor
+        if isinstance(factor, str):
+            raise SingularState(factor)
+        return factor
+
+    @cached_property
+    def _factor(self) -> "StateSolver | str":
+        try:
+            return StateSolver(self)
+        except SingularState as exc:
+            return str(exc)  # its traceback would hold the failed factor
 
     @cached_property
     def R(self) -> np.ndarray:
@@ -189,8 +224,10 @@ class StateSolver:
 
     One path for every epsilon: scipy's splu of S in CSC form with its
     default column ordering. The state is declared singular (pure Neumann
-    problem or a resonance) when the factorization breaks down or the
-    smallest |diag U| falls below PIVOT_TOL times the largest.
+    problem or a resonance) when the factorization breaks down, when the
+    smallest |diag U| falls below PIVOT_TOL times the largest, or, for
+    epsilon <= 0, when the probe through the factor reads below
+    SINGULAR_TOL.
     """
 
     def __init__(self, sys: FemSystem):
@@ -204,23 +241,41 @@ class StateSolver:
                 f"state matrix numerically singular at epsilon={sys.epsilon!r} "
                 f"(pure Neumann or near a resonance)"
             )
+        if sys.epsilon <= 0:
+            _probe(sys, self._lu.solve)  # part of the factorization, not a solve of a load
 
     def solve(self, load: np.ndarray) -> np.ndarray:
         """Solve S*u = load for one vector or a matrix of stacked columns."""
         return self._lu.solve(np.asarray(load, dtype=np.float64))
 
 
+def _probe(sys: FemSystem, solve) -> None:
+    """Raise SingularState when S looks singular to one solve of a random load.
+
+    solve(r) returns z with S z close to r; see the module docstring for
+    the estimate and its bound. It may raise to decline the decision.
+    """
+    r = np.random.default_rng(0).standard_normal(sys.n_nodes)
+    z = solve(r)
+    est = np.linalg.norm(r) / (np.linalg.norm(z) * abs(sys.S).sum(axis=0).max())
+    if not est >= SINGULAR_TOL:
+        raise SingularState(
+            f"state matrix numerically singular at epsilon={sys.epsilon!r}: sigma_min "
+            f"estimate {est:.2g} of |S|_1 is below {SINGULAR_TOL:g} (near a resonance)"
+        )
+
+
 @dataclass(frozen=True)
 class DataSolve:
     """How a data system was solved; deterministic, so manifests may carry it."""
 
-    method: str  # "two_grid_cg" or "splu"
-    iterations: int = 0  # CG iterations run; 0 when CG was not tried
-    fallback: str | None = None  # why a CG attempt gave way to splu
+    method: str  # "two_grid_cg", "two_grid_bicgstab" or "splu"
+    iterations: int = 0  # Krylov iterations of the data solve; 0 when none was tried
+    fallback: str | None = None  # why a Krylov attempt gave way to splu
 
 
 class _Stalled(Exception):
-    """Raised from CG's callback to stop an iteration that cannot converge in time."""
+    """Stops a Krylov solve, or its probe, and hands the data solve to splu."""
 
 
 def solve_data(
@@ -232,15 +287,19 @@ def solve_data(
     """Solve S*u = load once, for one right-hand side.
 
     With a coarse system and the prolongation P from its mesh to sys's
-    nested mesh, and epsilon > 0, this is CG preconditioned by a symmetric
+    nested mesh, this is a Krylov solve preconditioned by a symmetric
     two-grid cycle: damped Jacobi, the coarse correction P S_c^-1 P^T r
-    through coarse.solver, then Jacobi again. Otherwise, or when CG misses
-    CG_RTOL within CG_MAXITER iterations, sys.solver (sparse LU) solves it.
-    CG also gives up after CG_CHECK_AT iterations when its true relative
-    residual r there, continued at the same rate to CG_MAXITER iterations
+    through coarse.solver, then Jacobi again. The Krylov method is CG for
+    epsilon > 0 and Bi-CGSTAB otherwise; Bi-CGSTAB is followed by the
+    singularity probe as a second Bi-CGSTAB solve (see the module
+    docstring). Without a coarse system, or when the Krylov solve misses
+    CG_RTOL within CG_MAXITER iterations or the probe cannot verify its
+    own residual, sys.solver (sparse LU) solves it. The Krylov solve also
+    gives up after CG_CHECK_AT iterations when its true relative residual r
+    there, continued at the same rate to CG_MAXITER iterations
     (r^(CG_MAXITER / CG_CHECK_AT)), would still exceed CG_RTOL.
     """
-    if coarse is None or sys.epsilon <= 0:
+    if coarse is None:
         return sys.solver.solve(load), DataSolve("splu")
     S = sys.S
     jacobi = JACOBI_OMEGA / S.diagonal()
@@ -252,6 +311,11 @@ def solve_data(
         x += jacobi * (r - S @ x)
         return x
 
+    cycle = scipy.sparse.linalg.LinearOperator(S.shape, matvec=two_grid, dtype=np.float64)
+    if sys.epsilon > 0:
+        krylov, name, method = scipy.sparse.linalg.cg, "CG", "two_grid_cg"
+    else:
+        krylov, name, method = scipy.sparse.linalg.bicgstab, "BiCGStab", "two_grid_bicgstab"
     iterations = 0
     b_norm = np.linalg.norm(load)
 
@@ -261,25 +325,29 @@ def solve_data(
         if iterations == CG_CHECK_AT:
             rel = np.linalg.norm(load - S @ x) / b_norm
             if rel ** (CG_MAXITER / CG_CHECK_AT) > CG_RTOL:
-                raise _Stalled(rel)
+                raise _Stalled(
+                    f"two-grid {name} stalled at relative residual {rel:.2g} after "
+                    f"{CG_CHECK_AT} iterations; that pace misses rtol {CG_RTOL:g} in {CG_MAXITER}"
+                )
+
+    def verified(r: np.ndarray) -> np.ndarray:
+        z, _ = krylov(S, r, rtol=PROBE_RTOL, atol=0.0, maxiter=CG_MAXITER, M=cycle)
+        rel = np.linalg.norm(r - S @ z) / np.linalg.norm(r)
+        if not rel <= 2 * PROBE_RTOL:
+            raise _Stalled(
+                f"the two-grid {name} singularity probe reached relative residual "
+                f"{rel:.2g}, above {2 * PROBE_RTOL:g}"
+            )
+        return z
 
     try:
-        u, info = scipy.sparse.linalg.cg(
-            S,
-            load,
-            rtol=CG_RTOL,
-            atol=0.0,
-            maxiter=CG_MAXITER,
-            M=scipy.sparse.linalg.LinearOperator(S.shape, matvec=two_grid, dtype=np.float64),
-            callback=count,
+        u, info = krylov(
+            S, load, rtol=CG_RTOL, atol=0.0, maxiter=CG_MAXITER, M=cycle, callback=count
         )
+        if info != 0:
+            raise _Stalled(f"two-grid {name} missed rtol {CG_RTOL:g} in {CG_MAXITER} iterations")
+        if sys.epsilon <= 0:
+            _probe(sys, verified)
     except _Stalled as stall:
-        reason = (
-            f"two-grid CG stalled at relative residual {stall.args[0]:.2g} after "
-            f"{CG_CHECK_AT} iterations; that pace misses rtol {CG_RTOL:g} in {CG_MAXITER}"
-        )
-        return sys.solver.solve(load), DataSolve("splu", iterations, reason)
-    if info == 0:
-        return u, DataSolve("two_grid_cg", iterations)
-    reason = f"two-grid CG missed rtol {CG_RTOL:g} in {CG_MAXITER} iterations"
-    return sys.solver.solve(load), DataSolve("splu", iterations, reason)
+        return sys.solver.solve(load), DataSolve("splu", iterations, str(stall))
+    return u, DataSolve(method, iterations)

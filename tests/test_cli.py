@@ -163,9 +163,11 @@ def test_manifest_names_the_data_solve_and_rank_cut(tmp_path):
         assert main(["preset", preset, "--out", str(tmp_path / preset)]) == 0
         manifests[preset] = json.loads((tmp_path / preset / "manifest.json").read_text())
     assert manifests["ex1"]["data_solve"] == {"method": "splu", "iterations": 0}
-    assert manifests["ex7b"]["data_solve"] == {"method": "splu", "iterations": 0}
     assert manifests["ex5a"]["data_solve"]["method"] == "two_grid_cg"
-    assert 0 < manifests["ex5a"]["data_solve"]["iterations"] <= 50
+    assert manifests["ex7b"]["data_solve"]["method"] == "two_grid_bicgstab"
+    for preset in ("ex5a", "ex7b"):
+        assert 0 < manifests[preset]["data_solve"]["iterations"] <= 50
+        assert "fallback" not in manifests[preset]["data_solve"]
     for m in manifests.values():
         assert m["rank_cut"] == m["config"]["rank_tol"] * m["s_max"]
         assert m["s_min_retained"] > m["rank_cut"]

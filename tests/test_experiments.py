@@ -175,12 +175,20 @@ class TestRunExperiment:
         # with epsilon > 0 the nested fine data solve runs CG on the coarse factor
         self._check_factor_count(monkeypatch, factors, inverse_crime=inverse_crime)
 
-    def test_indefinite_nested_run_factors_both_systems(self, monkeypatch):
-        # epsilon < 0: the fine state matrix is indefinite and gets its own LU
-        self._check_factor_count(monkeypatch, 2, inverse_crime=False, epsilon=-1.0)
+    def test_indefinite_nested_run_factors_once(self, monkeypatch):
+        # epsilon < 0: the fine data solve is BiCGStab on the coarse factor
+        self._check_factor_count(monkeypatch, 1, inverse_crime=False, epsilon=-1.0)
+
+    def test_singular_system_is_factored_once(self, monkeypatch):
+        # ex1 with epsilon = 0: the synthesis raises the forward build's
+        # failed factorization again instead of repeating it
+        calls = self._factor_calls(monkeypatch)
+        with pytest.raises(SingularState):
+            run_experiment(replace(builtin_presets()["ex1"], epsilon=0.0))
+        assert len(calls) == 1
 
     @staticmethod
-    def _check_factor_count(monkeypatch, factors, **overrides):
+    def _factor_calls(monkeypatch) -> list:
         # every factor is made on the calling thread, which also frees it
         calls = []
         original = nullsrc.fem.StateSolver
@@ -191,6 +199,10 @@ class TestRunExperiment:
             return original(sys)
 
         monkeypatch.setattr(nullsrc.fem, "StateSolver", counting)
+        return calls
+
+    def _check_factor_count(self, monkeypatch, factors, **overrides):
+        calls = self._factor_calls(monkeypatch)
         cfg = crime_cfg(
             control_dims_forward=(4, 4),
             control_dims_inverse=(4, 4),
@@ -214,6 +226,21 @@ class TestRunExperiment:
         assert res.s_min_retained == sd.s[sd.rank - 1]
         assert res.s_min_retained >= cfg.rank_tol * res.s_max
         assert res.s_min < cfg.rank_tol * res.s_max
+
+    # epsilon at each of the eight lowest eigenvalues of the fine pencil;
+    # the fine pivot check alone let 16^2 k = 2 and 32^2 k = 2, 3 and 8
+    # return data, up to 1.6e11 at 32^2 k = 3
+    @pytest.mark.parametrize("k", range(1, 9), ids=lambda k: f"k{k}")
+    @pytest.mark.parametrize("cells", [16, 32])
+    def test_nested_resonance_raises(self, pencil_eigenvalues, cells, k):
+        cfg = crime_cfg(
+            domain=DomainSpec(Shape.UNIT_SQUARE, cells, cells),
+            inverse_crime=False,
+            epsilon=-float(pencil_eigenvalues(cells, True)[k]),
+            true_source=((18, 1.0), (45, 1.0)),
+        )
+        with pytest.raises(SingularState):
+            run_experiment(cfg)
 
     def test_fine_mesh_only_resonance_raises(self):
         # epsilon at an eigenvalue of the fine pencil (K, M) that the 8x8

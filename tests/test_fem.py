@@ -202,6 +202,15 @@ class TestSolveState:
         with pytest.raises(SingularState):
             StateSolver(resonant)
 
+    # the pivot ratio stays above PIVOT_TOL at 16^2 k = 2 and 32^2 k = 2, 3,
+    # 5 and 6; the probe through the factor catches those
+    @pytest.mark.parametrize("k", range(1, 9), ids=lambda k: f"k{k}")
+    @pytest.mark.parametrize("cells", [16, 32])
+    def test_every_low_resonance_is_singular(self, pencil_eigenvalues, cells, k):
+        mesh = build_mesh(DomainSpec(Shape.UNIT_SQUARE, cells, cells))
+        with pytest.raises(SingularState):
+            StateSolver(assemble(mesh, -float(pencil_eigenvalues(cells, False)[k])))
+
     def test_exactly_singular_is_singular_state(self, square3):
         _, sys = square3
         zero = dataclasses.replace(sys, S=scipy.sparse.csr_matrix(sys.S.shape))
@@ -245,13 +254,35 @@ class TestSolveData:
         gap = np.linalg.norm(u[sys.trace_map] - direct) / np.linalg.norm(direct)
         assert gap <= 1e-9
 
-    def test_without_coarse_system_or_positive_epsilon_uses_lu(self):
+    @pytest.mark.parametrize("preset", ["ex7b", "ex7a"])  # epsilon -100 and -1
+    def test_two_grid_bicgstab_trace_matches_direct_solve(self, preset):
+        setup, sys, load = self.fine_problem(preset)
+        u, how = solve_data(sys, load, setup.sys_inv, prolongation(setup.mesh_inv))
+        assert how.method == "two_grid_bicgstab" and 0 < how.iterations <= 50
+        assert how.fallback is None
+        direct = sys.solver.solve(load)[sys.trace_map]
+        gap = np.linalg.norm(u[sys.trace_map] - direct) / np.linalg.norm(direct)
+        assert gap <= 1e-9
+
+    def test_stalled_bicgstab_falls_back_to_lu(self):
+        # at epsilon = -1000 the two-grid cycle no longer reduces the residual
+        cfg = builtin_presets()["ex7b"]
+        setup = build_setup(dataclasses.replace(cfg, epsilon=-1000.0))
+        fine = refine_uniform(setup.mesh_inv)
+        sys = assemble(fine, -1000.0)
+        _, _, load = self.fine_problem("ex7b")
+        u, how = solve_data(sys, load, setup.sys_inv, prolongation(setup.mesh_inv))
+        assert how.method == "splu" and how.iterations == 10
+        assert how.fallback.startswith("two-grid BiCGStab stalled")
+        assert np.array_equal(u, sys.solver.solve(load))
+
+    def test_without_coarse_system_uses_lu(self):
         mesh = build_mesh(DomainSpec(Shape.UNIT_SQUARE, 4, 4))
         fine = refine_uniform(mesh)
         load = np.random.default_rng(14).standard_normal(fine.n_nodes)
-        for eps, coarse in [(1e-3, None), (-1.0, assemble(mesh, -1.0))]:
+        for eps in (1e-3, -1.0):
             sys = assemble(fine, eps)
-            u, how = solve_data(sys, load, coarse, prolongation(mesh))
+            u, how = solve_data(sys, load)
             assert how.method == "splu" and how.iterations == 0 and how.fallback is None
             assert np.array_equal(u, sys.solver.solve(load))
 
