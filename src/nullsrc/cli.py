@@ -72,7 +72,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     setup = build_setup(cfg)
-    fm = build_forward_model(setup.sys_inv, setup.basis_inv, setup.mesh_inv)
+    fm = build_forward_model(setup.sys_inv, setup.basis_inv, setup.sys_inv.mesh)
     sd = analyze(fm, cfg.rank_tol)
     print(
         json.dumps(

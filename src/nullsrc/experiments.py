@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -42,7 +43,7 @@ from .control_space import (
 )
 from .errors import ConfigError, IllConditioned, NullsrcError
 from .fem import CoefficientField, DataSolve, FemSystem, assemble, solve_data
-from .mesh import DomainSpec, Mesh, Shape, build_mesh, prolongation, refine_uniform
+from .mesh import DomainSpec, Mesh, Shape, build_mesh, refine_uniform
 from .solvers import (
     MOROZOV_ALPHA_RANGE,
     MOROZOV_REL_TOL,
@@ -189,7 +190,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
 class Setup:
     """The inversion side of a run; the forward side lives in _synthesize."""
 
-    mesh_inv: Mesh
     sys_inv: FemSystem
     basis_inv: ControlBasis
 
@@ -201,7 +201,7 @@ def build_setup(cfg: ExperimentConfig) -> Setup:
         domain = DomainSpec(domain.shape, domain.nx // 2, domain.ny // 2)
     mesh_inv = build_mesh(domain)
     sys_inv = assemble(mesh_inv, cfg.epsilon, cfg.sigma.materialize(mesh_inv))
-    return Setup(mesh_inv, sys_inv, build_control_basis(mesh_inv, *cfg.control_dims_inverse))
+    return Setup(sys_inv, build_control_basis(mesh_inv, *cfg.control_dims_inverse))
 
 
 @dataclass(frozen=True)
@@ -254,17 +254,16 @@ def _synthesize(cfg: ExperimentConfig, setup: Setup) -> Synthesis:
     dropped on return, so a run never holds the fine and coarse sides
     together past this point.
     """
-    mesh, sys, coarse, P = setup.mesh_inv, setup.sys_inv, None, None
+    sys, coarse = setup.sys_inv, None
     if not cfg.inverse_crime:
-        mesh = refine_uniform(setup.mesh_inv)  # coarse nodes keep their indices
-        sys = assemble(mesh, cfg.epsilon, cfg.sigma.materialize(mesh))
-        coarse, P = setup.sys_inv, prolongation(setup.mesh_inv)
-    basis = build_control_basis(mesh, *cfg.control_dims_forward)
+        mesh = refine_uniform(setup.sys_inv.mesh)  # coarse nodes keep their indices
+        sys, coarse = assemble(mesh, cfg.epsilon, cfg.sigma.materialize(mesh)), setup.sys_inv
+    basis = build_control_basis(sys.mesh, *cfg.control_dims_forward)
     a = _true_coefficients(cfg, basis)
     with np.errstate(over="ignore", invalid="ignore"):  # the check below reports overflow
-        load = source_load(basis, mesh, a)
-        u, data_solve = solve_data(sys, load, coarse, P)
-    d = u[setup.sys_inv.trace_map]  # the forward mesh keeps the inversion node indices
+        load = source_load(basis, sys.mesh, a)
+        u, data_solve = solve_data(sys, load, coarse)
+    d = u[setup.sys_inv.mesh.boundary_nodes]  # the forward mesh keeps the inversion node indices
     if not np.isfinite(d).all():
         amplitudes = [amplitude for _, amplitude in cfg.true_source]
         raise ConfigError(f"true-source amplitudes {amplitudes!r} give non-finite boundary data")
@@ -310,7 +309,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """
     setup = build_setup(cfg)
     try:
-        fm = build_forward_model(setup.sys_inv, setup.basis_inv, setup.mesh_inv)
+        fm = build_forward_model(setup.sys_inv, setup.basis_inv, setup.sys_inv.mesh)
     except NullsrcError:
         _synthesize(cfg, setup)  # in turn the synthesis runs first, so its error wins
         raise
@@ -326,7 +325,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     result = ExperimentResult(
         config=cfg,
-        mesh_inverse=setup.mesh_inv,
+        mesh_inverse=setup.sys_inv.mesh,
         basis_inverse=setup.basis_inv,
         synthesis=syn,
         w_min=float(sd.p_norms.min()),
@@ -416,8 +415,37 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _floats(values) -> tuple[float, ...]:
-    return tuple(float(v) for v in values)
+def _int(value) -> int:
+    """A JSON integer, or a string that int() parses (a CLI override)."""
+    if isinstance(value, str):
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _float(value) -> float:
+    """A JSON number, or a string that float() parses; never a boolean."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _array(item):
+    """Converter of a JSON array that converts each entry by item."""
+
+    def convert(values) -> tuple:
+        if not isinstance(values, list):
+            raise TypeError(f"expected an array, got {values!r}")
+        return tuple(map(item, values))
+
+    return convert
 
 
 def _given(raw: dict, **convert) -> dict:
@@ -427,6 +455,13 @@ def _given(raw: dict, **convert) -> dict:
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
+    """Convert a JSON config; a value of the wrong JSON type raises ConfigError.
+
+    Integers are JSON integers, numbers are JSON numbers, flags are JSON
+    booleans and sequences are JSON arrays. Strings that int() or float()
+    parse are accepted for integers and numbers, so CLI overrides convert
+    here like config-file values.
+    """
     try:
         dom = data["domain"]
         shape = Shape(dom["shape"])
@@ -435,27 +470,26 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             if alpha_raw.get("rule") != "morozov":
                 raise ConfigError(f"unknown alpha rule {alpha_raw!r}")
             alpha: float | MorozovRule = MorozovRule(
-                **_given(alpha_raw, alpha_min=float, alpha_max=float, rel_tol=float)
+                **_given(alpha_raw, alpha_min=_float, alpha_max=_float, rel_tol=_float)
             )
         elif isinstance(alpha_raw, str) and alpha_raw.lower() == "morozov":
             alpha = MorozovRule()
         else:
-            alpha = float(alpha_raw)
-        sigma = SigmaSpec(**_given(data.get("sigma", {}), kind=str, kappa1=_floats, kappa2=_floats))
+            alpha = _float(alpha_raw)
+        floats, ints = _array(_float), _array(_int)
+        sources = _array(lambda t: (_int(t["cell"]), _float(t.get("amplitude", 1.0))))
+        sigma = SigmaSpec(**_given(data.get("sigma", {}), kind=str, kappa1=floats, kappa2=floats))
         return ExperimentConfig(
             name=str(data.get("name", "custom")),
-            domain=DomainSpec(shape, int(dom["nx"]), int(dom["ny"])),
-            control_dims_forward=tuple(int(v) for v in data["control_dims_forward"]),
-            control_dims_inverse=tuple(int(v) for v in data["control_dims_inverse"]),
-            epsilon=float(data["epsilon"]),
+            domain=DomainSpec(shape, _int(dom["nx"]), _int(dom["ny"])),
+            control_dims_forward=ints(data["control_dims_forward"]),
+            control_dims_inverse=ints(data["control_dims_inverse"]),
+            epsilon=_float(data["epsilon"]),
             sigma=sigma,
-            true_source=tuple(
-                (int(t["cell"]), float(t.get("amplitude", 1.0)))
-                for t in data["true_source"]
-            ),
-            methods=tuple(parse_method(m) for m in data["methods"]),
+            true_source=sources(data["true_source"]),
+            methods=_array(parse_method)(data["methods"]),
             alpha=alpha,
-            **_given(data, noise_kappa=float, seed=int, inverse_crime=bool, rank_tol=float),
+            **_given(data, noise_kappa=_float, seed=_int, inverse_crime=_bool, rank_tol=_float),
         )
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed experiment config: {exc}") from exc

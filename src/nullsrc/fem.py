@@ -3,9 +3,10 @@
 All element integrals are exact for the piecewise-linear ansatz: the
 element mass matrix is area/12 * [[2,1,1],[1,2,1],[1,1,2]], gradients are
 constant per triangle, and boundary edges carry length/6 * [[2,1],[1,2]].
-A system keeps only what runs read, the state matrix S and the boundary
-mass B; stiffness_and_mass builds the stiffness and mass matrices from the
-element matrices S is summed from.
+A system keeps its mesh, epsilon and the state matrix S; the boundary
+mass B and its Cholesky factor are built from the mesh on first use, so a
+system that only solves never makes them. stiffness_and_mass builds the
+stiffness and mass matrices from the element matrices S is summed from.
 The state matrix of a system is factored once, by one sparse LU, and the
 factor is shared by every solve on that system; a factorization that finds
 S singular is not repeated either.
@@ -47,7 +48,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import NonPositiveCoefficient, SingularState
-from .mesh import Mesh
+from .mesh import Mesh, prolongation
 
 PIVOT_TOL = 1e-12
 SINGULAR_TOL = 1e-10  # the probe's est; epsilon < 0 presets read 1e-3, resonances 1e-13
@@ -84,18 +85,16 @@ class CoefficientField:
 
 @dataclass(frozen=True)
 class FemSystem:
-    """Assembled matrices for one mesh, epsilon and coefficient field.
+    """The state matrix of one mesh, epsilon and coefficient field.
 
     S = K_sigma + epsilon*M is the sparse n_nodes x n_nodes state matrix;
-    B is the dense boundary mass matrix in boundary-node order; trace_map
-    selects boundary values from nodal vectors. K_sigma and M are not
-    kept (see stiffness_and_mass).
+    mesh.boundary_nodes selects boundary values from nodal vectors.
+    K_sigma and M are not kept (see stiffness_and_mass).
     """
 
-    B: np.ndarray
+    mesh: Mesh
     S: scipy.sparse.csr_matrix
     epsilon: float
-    trace_map: np.ndarray
 
     @property
     def n_nodes(self) -> int:
@@ -119,6 +118,23 @@ class FemSystem:
             return StateSolver(self)
         except SingularState as exc:
             return str(exc)  # its traceback would hold the failed factor
+
+    @cached_property
+    def B(self) -> np.ndarray:
+        """Dense boundary mass matrix of the mesh, in boundary-node order."""
+        mesh = self.mesh
+        bnodes = mesh.boundary_nodes
+        i, j = np.searchsorted(bnodes, mesh.boundary_edges).T
+        seg = mesh.nodes[mesh.boundary_edges[:, 0]] - mesh.nodes[mesh.boundary_edges[:, 1]]
+        length = np.linalg.norm(seg, axis=1)
+        B = np.zeros((len(bnodes), len(bnodes)))
+        # every boundary node ends exactly two edges: its diagonal sum is order-free
+        np.add.at(
+            B,
+            (np.concatenate([i, j, i, j]), np.concatenate([i, j, j, i])),
+            np.concatenate([length / 3.0, length / 3.0, length / 6.0, length / 6.0]),
+        )
+        return B
 
     @cached_property
     def R(self) -> np.ndarray:
@@ -184,7 +200,7 @@ def stiffness_and_mass(
 
 
 def assemble(mesh: Mesh, epsilon: float, sigma: CoefficientField | None = None) -> FemSystem:
-    """Assemble the state and boundary-mass matrices.
+    """Assemble the state matrix.
 
     Each triangle's stiffness and epsilon-scaled mass are summed into one
     element matrix, and S is built from those by one sparse conversion.
@@ -203,20 +219,7 @@ def assemble(mesh: Mesh, epsilon: float, sigma: CoefficientField | None = None) 
         If any per-triangle kappa is not strictly positive.
     """
     ke, me = _element_matrices(mesh, sigma)
-    S = _global(mesh, ke + epsilon * me)
-
-    bnodes = mesh.boundary_nodes
-    i, j = np.searchsorted(bnodes, mesh.boundary_edges).T
-    seg = mesh.nodes[mesh.boundary_edges[:, 0]] - mesh.nodes[mesh.boundary_edges[:, 1]]
-    length = np.linalg.norm(seg, axis=1)
-    B = np.zeros((len(bnodes), len(bnodes)))
-    # every boundary node ends exactly two edges: its diagonal sum is order-free
-    np.add.at(
-        B,
-        (np.concatenate([i, j, i, j]), np.concatenate([i, j, j, i])),
-        np.concatenate([length / 3.0, length / 3.0, length / 6.0, length / 6.0]),
-    )
-    return FemSystem(B=B, S=S, epsilon=epsilon, trace_map=bnodes.copy())
+    return FemSystem(mesh, _global(mesh, ke + epsilon * me), epsilon)
 
 
 class StateSolver:
@@ -279,29 +282,26 @@ class _Stalled(Exception):
 
 
 def solve_data(
-    sys: FemSystem,
-    load: np.ndarray,
-    coarse: FemSystem | None = None,
-    P: scipy.sparse.csr_matrix | None = None,
+    sys: FemSystem, load: np.ndarray, coarse: FemSystem | None = None
 ) -> tuple[np.ndarray, DataSolve]:
     """Solve S*u = load once, for one right-hand side.
 
-    With a coarse system and the prolongation P from its mesh to sys's
-    nested mesh, this is a Krylov solve preconditioned by a symmetric
-    two-grid cycle: damped Jacobi, the coarse correction P S_c^-1 P^T r
-    through coarse.solver, then Jacobi again. The Krylov method is CG for
-    epsilon > 0 and Bi-CGSTAB otherwise; Bi-CGSTAB is followed by the
-    singularity probe as a second Bi-CGSTAB solve (see the module
-    docstring). Without a coarse system, or when the Krylov solve misses
-    CG_RTOL within CG_MAXITER iterations or the probe cannot verify its
-    own residual, sys.solver (sparse LU) solves it. The Krylov solve also
-    gives up after CG_CHECK_AT iterations when its true relative residual r
-    there, continued at the same rate to CG_MAXITER iterations
-    (r^(CG_MAXITER / CG_CHECK_AT)), would still exceed CG_RTOL.
+    With a coarse system whose mesh refine_uniform turns into sys's mesh,
+    this is a Krylov solve preconditioned by a symmetric two-grid cycle:
+    damped Jacobi, the coarse correction P S_c^-1 P^T r through
+    coarse.solver with P = prolongation(coarse.mesh), then Jacobi again.
+    The Krylov method is CG for epsilon > 0 and Bi-CGSTAB otherwise;
+    Bi-CGSTAB is followed by the singularity probe as a second Bi-CGSTAB
+    solve (see the module docstring). Without a coarse system, or when the
+    Krylov solve misses CG_RTOL within CG_MAXITER iterations or the probe
+    cannot verify its own residual, sys.solver (sparse LU) solves it. The
+    Krylov solve also gives up after CG_CHECK_AT iterations when its true
+    relative residual r there, continued at the same rate to CG_MAXITER
+    iterations (r^(CG_MAXITER / CG_CHECK_AT)), would still exceed CG_RTOL.
     """
     if coarse is None:
         return sys.solver.solve(load), DataSolve("splu")
-    S = sys.S
+    S, P = sys.S, prolongation(coarse.mesh)
     jacobi = JACOBI_OMEGA / S.diagonal()
     restrict = P.T.tocsr()
 

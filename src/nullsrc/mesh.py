@@ -48,8 +48,13 @@ class Mesh:
     boundary_nodes : (n_bnodes,) int array
         Indices of boundary vertices, ascending.
     triangle_areas : (n_tri,) float array
-        Signed triangle areas (positive for CCW orientation), computed on
-        first use and read-only, so every caller shares one array.
+        Signed triangle areas (positive for CCW orientation).
+    edges : (lo, hi, edge_of) int arrays
+        Undirected edges sorted by (min, max) node: lo and hi are their
+        ends, and edge_of[k] is the edge of directed triangle edge k of
+        _edges. Edge e becomes node n_nodes + e of refine_uniform(mesh).
+
+    Both are computed on first use and read-only, so callers share them.
     """
 
     nodes: np.ndarray
@@ -71,6 +76,16 @@ class Mesh:
         area = 0.5 * ((x[1] - x[0]) * (y[2] - y[0]) - (x[2] - x[0]) * (y[1] - y[0]))
         area.flags.writeable = False
         return area
+
+    @cached_property
+    def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        n = self.n_nodes
+        _, _, keys = _edges(np.asarray(self.triangles, dtype=np.int64), n)
+        edge_keys, edge_of = np.unique(keys, return_inverse=True)
+        lo, hi = np.divmod(edge_keys, n)
+        for array in (lo, hi, edge_of):
+            array.flags.writeable = False
+        return lo, hi, edge_of
 
 
 def _edges(triangles: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -142,20 +157,6 @@ def build_mesh(spec: DomainSpec) -> Mesh:
     )
 
 
-def _unique_edges(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Undirected edges of a mesh, sorted by (min, max) node.
-
-    Returns their lower and higher end nodes and, for every directed
-    triangle edge of _edges, the index of its undirected edge. Edge e
-    becomes node n_nodes + e of refine_uniform(mesh).
-    """
-    n = mesh.n_nodes
-    _, _, keys = _edges(np.asarray(mesh.triangles, dtype=np.int64), n)
-    edge_keys, edge_of = np.unique(keys, return_inverse=True)
-    lo, hi = np.divmod(edge_keys, n)
-    return lo, hi, edge_of
-
-
 def refine_uniform(mesh: Mesh) -> Mesh:
     """Split every triangle into four via edge midpoints.
 
@@ -163,7 +164,7 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     the first n_coarse fine nodes are the coarse ones.
     """
     n_coarse = mesh.n_nodes
-    lo, hi, edge_of = _unique_edges(mesh)
+    lo, hi, edge_of = mesh.edges
     fine_nodes = np.vstack([mesh.nodes, 0.5 * (mesh.nodes[lo] + mesh.nodes[hi])])
 
     a, b, c = np.asarray(mesh.triangles, dtype=np.int64).T
@@ -188,7 +189,7 @@ def prolongation(coarse: Mesh) -> scipy.sparse.csr_matrix:
     functions are reproduced exactly and every row sums to one.
     """
     n = coarse.n_nodes
-    lo, hi, _ = _unique_edges(coarse)
+    lo, hi, _ = coarse.edges
     mid = n + np.arange(lo.size)
     rows = np.concatenate([np.arange(n), mid, mid])
     cols = np.concatenate([np.arange(n), lo, hi])

@@ -78,16 +78,16 @@ def build_forward_model(sys: FemSystem, basis: ControlBasis, mesh: Mesh) -> Forw
     unit columns and M_cf^T maps the solutions to A; otherwise it solves
     the dense basis loads and the trace keeps their boundary rows. The
     factor and R are the ones cached on sys, so data synthesis on the
-    same system reuses them instead of factoring again.
+    same system reuses them instead of factoring again. mesh is sys.mesh.
     """
     M_cf = control_load_matrix(basis, mesh)
-    n_boundary = len(sys.trace_map)
-    if n_boundary < basis.n:
-        E_b = np.zeros((sys.n_nodes, n_boundary), order="F")
-        E_b[sys.trace_map, np.arange(n_boundary)] = 1.0
+    bnodes = sys.mesh.boundary_nodes
+    if len(bnodes) < basis.n:
+        E_b = np.zeros((sys.n_nodes, len(bnodes)), order="F")
+        E_b[bnodes, np.arange(len(bnodes))] = 1.0
         A = (M_cf.T @ sys.solver.solve(E_b)).T
     else:
-        A = sys.solver.solve(M_cf.toarray())[sys.trace_map]
+        A = sys.solver.solve(M_cf.toarray())[bnodes]
     return ForwardModel(A=A, R=sys.R, A_hat=sys.R @ A)
 
 

@@ -9,12 +9,16 @@ the limit (~9e-6 on this operator), which the 2a line prints alongside.
 """
 
 import json
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import nullsrc
 from nullsrc import (
     DomainSpec,
     GammaTooLarge,
@@ -306,3 +310,26 @@ def test_criterion_10_end_to_end_determinism(tmp_path):
         f"{compared} files of ex1 and ex6b compared byte-for-byte",
     )
     assert identical
+
+
+def test_compare_presets_finds_every_preset_byte_identical():
+    # criterion 10 across processes: the script every output-preserving
+    # change is checked with runs all presets twice in fresh interpreters
+    src = Path(nullsrc.__file__).resolve().parent.parent
+    script = Path(__file__).resolve().parent.parent / "scripts" / "compare_presets.py"
+    done = subprocess.run(
+        [sys.executable, str(script), f"a={src}", f"b={src}"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    lines = done.stdout.splitlines()
+    presets = [line for line in lines if line.endswith("byte-identical")]
+    report(
+        "compare_presets (cross-process determinism)",
+        done.returncode == 0,
+        f"{len(presets)} of {len(builtin_presets())} presets byte-identical",
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert [line.split(":")[0] for line in presets] == sorted(builtin_presets())
+    assert "every manifest number is equal" in lines

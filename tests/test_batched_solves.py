@@ -19,7 +19,7 @@ ALPHAS = {method: (0.0 if method is Method.MIN_NORM else 1e-3) for method in Met
 @pytest.fixture(scope="module")
 def ex5a():
     setup = build_setup(builtin_presets()["ex5a"])
-    fm = build_forward_model(setup.sys_inv, setup.basis_inv, setup.mesh_inv)
+    fm = build_forward_model(setup.sys_inv, setup.basis_inv, setup.sys_inv.mesh)
     return fm, analyze(fm)
 
 

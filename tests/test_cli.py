@@ -280,6 +280,14 @@ def test_bad_number_override_exits_2(tmp_path, capsys, override, message):
         ("ex1", "control_dims_inverse", [0, 8], "positive"),
         ("ex1", "control_dims_forward", [8, 8, 8], "two entries"),
         ("ex4", "sigma", {"kind": "affine", "kappa1": [-1, 0, 0], "kappa2": [1, 0, 0]}, "positive"),
+        ("ex1", "inverse_crime", "false", "expected true or false"),
+        ("ex1", "seed", 1.5, "expected an integer"),
+        ("ex1", "domain", {"shape": "unit_square", "nx": 8.9, "ny": 8}, "expected an integer"),
+        ("ex1", "true_source", [{"cell": 5.7, "amplitude": 1.0}], "expected an integer"),
+        ("ex1", "methods", "ii", "expected an array"),
+        ("ex1", "control_dims_inverse", "44", "expected an array"),
+        ("ex4", "sigma", {"kind": "affine", "kappa1": "123", "kappa2": [1, 0, 0]}, "expected an array"),
+        ("ex1", "epsilon", True, "expected a number"),
     ],
     ids=[
         "kappa1-length-2",
@@ -290,6 +298,14 @@ def test_bad_number_override_exits_2(tmp_path, capsys, override, message):
         "control-dims-0x8",
         "control-dims-three-entries",
         "kappa1-negative",
+        "inverse-crime-string",
+        "seed-float",
+        "nx-float",
+        "cell-float",
+        "methods-string",
+        "control-dims-string",
+        "kappa1-string",
+        "epsilon-bool",
     ],
 )
 def test_bad_config_value_exits_2(tmp_path, capsys, preset, key, value, message):

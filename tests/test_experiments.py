@@ -64,7 +64,6 @@ class TestGenerateData:
         from nullsrc import assemble, build_mesh, refine_uniform
         from nullsrc.control_space import build_control_basis, control_load_matrix
         from nullsrc.fem import solve_data
-        from nullsrc.mesh import prolongation
 
         cfg = crime_cfg(
             domain=DomainSpec(Shape.UNIT_SQUARE, 16, 16),
@@ -82,8 +81,8 @@ class TestGenerateData:
         a[34] = 1.0
         sys_c = assemble(coarse, cfg.epsilon)
         load = control_load_matrix(basis_f, fine) @ a
-        u, _ = solve_data(sys_f, load, sys_c, prolongation(coarse))
-        d_fine = u[sys_f.trace_map]
+        u, _ = solve_data(sys_f, load, sys_c)
+        d_fine = u[fine.boundary_nodes]
         fine_xy = {tuple(xy): i for i, xy in enumerate(fine.nodes[fine.boundary_nodes])}
         for k, node in enumerate(coarse.boundary_nodes):
             pos = fine_xy[tuple(coarse.nodes[node])]
@@ -220,7 +219,7 @@ class TestRunExperiment:
         cfg = builtin_presets()["ex5a"]
         res = run_experiment(cfg)
         setup = build_setup(cfg)
-        fm = build_forward_model(setup.sys_inv, setup.basis_inv, setup.mesh_inv)
+        fm = build_forward_model(setup.sys_inv, setup.basis_inv, setup.sys_inv.mesh)
         sd = analyze(fm, cfg.rank_tol)
         assert sd.rank < sd.s.size  # the cut falls inside the spectrum
         assert res.s_min_retained == sd.s[sd.rank - 1]
@@ -265,6 +264,24 @@ class TestRunExperiment:
         with pytest.raises(SingularState):
             run_experiment(cfg)
 
+    @pytest.mark.parametrize("preset", ["ex5a", "ex7b"])  # CG and Bi-CGSTAB data solves
+    def test_fine_system_builds_only_what_it_reads(self, monkeypatch, preset):
+        # the fine system only solves, through the coarse factor: it makes no
+        # boundary mass, no Cholesky factor and no LU of its own
+        systems = []
+        original = nullsrc.experiments.assemble
+
+        def recording(mesh, epsilon, sigma=None):
+            systems.append(original(mesh, epsilon, sigma))
+            return systems[-1]
+
+        monkeypatch.setattr(nullsrc.experiments, "assemble", recording)
+        run_experiment(builtin_presets()[preset])
+        inversion, fine = systems
+        assert fine.n_nodes == 4225 and inversion.n_nodes == 1089
+        assert {"B", "R", "_factor"} <= vars(inversion).keys()
+        assert not {"B", "R", "_factor"} & vars(fine).keys()
+
 
 class TestOverlap:
     """A nested run overlaps _synthesize with analyze, the SVDs, on a worker thread."""
@@ -293,7 +310,7 @@ class TestOverlap:
 
         setup = build_setup(cfg)
         syn = _synthesize(cfg, setup)
-        fm = build_forward_model(setup.sys_inv, setup.basis_inv, setup.mesh_inv)
+        fm = build_forward_model(setup.sys_inv, setup.basis_inv, setup.sys_inv.mesh)
         sd = analyze(fm, cfg.rank_tol)
         assert np.array_equal(result.synthesis.d, syn.d)
         assert np.array_equal(result.synthesis.d_noisy, syn.d_noisy)

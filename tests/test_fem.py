@@ -19,7 +19,7 @@ from nullsrc import (
 from nullsrc.control_space import build_control_basis, source_load
 from nullsrc.experiments import build_setup, builtin_presets
 from nullsrc.fem import StateSolver, solve_data, stiffness_and_mass
-from nullsrc.mesh import prolongation, refine_uniform
+from nullsrc.mesh import refine_uniform
 
 
 @pytest.fixture(scope="module")
@@ -236,7 +236,7 @@ class TestSolveData:
     def fine_problem(preset):
         cfg = builtin_presets()[preset]
         setup = build_setup(cfg)
-        fine = refine_uniform(setup.mesh_inv)
+        fine = refine_uniform(setup.sys_inv.mesh)
         sys = assemble(fine, cfg.epsilon, cfg.sigma.materialize(fine))
         basis = build_control_basis(fine, *cfg.control_dims_forward)
         a = np.zeros(basis.n)
@@ -247,31 +247,31 @@ class TestSolveData:
     @pytest.mark.parametrize("preset", ["ex4", "ex2"])  # affine sigma, L-shape
     def test_two_grid_cg_trace_matches_direct_solve(self, preset):
         setup, sys, load = self.fine_problem(preset)
-        u, how = solve_data(sys, load, setup.sys_inv, prolongation(setup.mesh_inv))
+        u, how = solve_data(sys, load, setup.sys_inv)
         assert how.method == "two_grid_cg" and 0 < how.iterations <= 50
         assert how.fallback is None
-        direct = sys.solver.solve(load)[sys.trace_map]
-        gap = np.linalg.norm(u[sys.trace_map] - direct) / np.linalg.norm(direct)
+        direct = sys.solver.solve(load)[sys.mesh.boundary_nodes]
+        gap = np.linalg.norm(u[sys.mesh.boundary_nodes] - direct) / np.linalg.norm(direct)
         assert gap <= 1e-9
 
     @pytest.mark.parametrize("preset", ["ex7b", "ex7a"])  # epsilon -100 and -1
     def test_two_grid_bicgstab_trace_matches_direct_solve(self, preset):
         setup, sys, load = self.fine_problem(preset)
-        u, how = solve_data(sys, load, setup.sys_inv, prolongation(setup.mesh_inv))
+        u, how = solve_data(sys, load, setup.sys_inv)
         assert how.method == "two_grid_bicgstab" and 0 < how.iterations <= 50
         assert how.fallback is None
-        direct = sys.solver.solve(load)[sys.trace_map]
-        gap = np.linalg.norm(u[sys.trace_map] - direct) / np.linalg.norm(direct)
+        direct = sys.solver.solve(load)[sys.mesh.boundary_nodes]
+        gap = np.linalg.norm(u[sys.mesh.boundary_nodes] - direct) / np.linalg.norm(direct)
         assert gap <= 1e-9
 
     def test_stalled_bicgstab_falls_back_to_lu(self):
         # at epsilon = -1000 the two-grid cycle no longer reduces the residual
         cfg = builtin_presets()["ex7b"]
         setup = build_setup(dataclasses.replace(cfg, epsilon=-1000.0))
-        fine = refine_uniform(setup.mesh_inv)
+        fine = refine_uniform(setup.sys_inv.mesh)
         sys = assemble(fine, -1000.0)
         _, _, load = self.fine_problem("ex7b")
-        u, how = solve_data(sys, load, setup.sys_inv, prolongation(setup.mesh_inv))
+        u, how = solve_data(sys, load, setup.sys_inv)
         assert how.method == "splu" and how.iterations == 10
         assert how.fallback.startswith("two-grid BiCGStab stalled")
         assert np.array_equal(u, sys.solver.solve(load))
@@ -288,16 +288,20 @@ class TestSolveData:
 
 
 class TestTrace:
+    """A system's trace is its mesh's boundary-node selection."""
+
     def test_constant(self, square3):
         _, sys = square3
-        np.testing.assert_array_equal(np.ones(sys.n_nodes)[sys.trace_map], 1.0)
+        np.testing.assert_array_equal(np.ones(sys.n_nodes)[sys.mesh.boundary_nodes], 1.0)
 
     def test_zero(self, square3):
         _, sys = square3
-        assert np.all(np.zeros(sys.n_nodes)[sys.trace_map] == 0)
+        assert np.all(np.zeros(sys.n_nodes)[sys.mesh.boundary_nodes] == 0)
 
     def test_selection_by_index(self):
         mesh = build_mesh(DomainSpec(Shape.UNIT_SQUARE, 2, 2))
         sys = assemble(mesh, 1.0)
+        assert sys.mesh is mesh
         u = np.arange(9, dtype=float)
-        np.testing.assert_array_equal(u[sys.trace_map], mesh.boundary_nodes.astype(float))
+        # every node of the 3 x 3 grid but the centre lies on the boundary
+        np.testing.assert_array_equal(u[sys.mesh.boundary_nodes], [0, 1, 2, 3, 5, 6, 7, 8])

@@ -145,6 +145,18 @@ class TestBuildMesh:
         with pytest.raises(ValueError, match="read-only"):
             areas[0] = 1.0
 
+    def test_edges_are_cached_and_read_only(self):
+        mesh = build_mesh(DomainSpec(Shape.L_SHAPE, 4, 4))
+        edges = mesh.edges
+        assert all(again is first for again, first in zip(mesh.edges, edges, strict=True))
+        for array in edges:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        lo, hi, edge_of = edges
+        # a simply connected triangulation has n_nodes + n_triangles - 1 edges
+        assert lo.size == hi.size == mesh.n_nodes + mesh.n_triangles - 1
+        assert edge_of.shape == (3 * mesh.n_triangles,)
+
     @pytest.mark.parametrize(
         "spec,area,perimeter",
         [

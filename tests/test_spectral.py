@@ -58,7 +58,7 @@ class TestForwardModel:
         M_cf = control_load_matrix(basis, mesh).toarray()
         j = 19
         u = np.linalg.solve(sys.S.toarray(), M_cf[:, j])
-        np.testing.assert_allclose(fm.A[:, j], u[sys.trace_map], atol=1e-12)
+        np.testing.assert_allclose(fm.A[:, j], u[sys.mesh.boundary_nodes], atol=1e-12)
 
 
 def _system(shape, cells, controls, epsilon):
@@ -68,7 +68,7 @@ def _system(shape, cells, controls, epsilon):
 
 def _ex4_system():
     setup = build_setup(builtin_presets()["ex4"])
-    return setup.mesh_inv, setup.sys_inv, setup.basis_inv
+    return setup.sys_inv.mesh, setup.sys_inv, setup.basis_inv
 
 
 # (name, system factory, boundary nodes, controls): the first three solve
@@ -107,16 +107,16 @@ class TestForwardBuild:
 
     def test_matches_per_control_and_dense_solves(self, case, solve_cols):
         mesh, sys, basis, n_boundary, n_controls = case
-        assert (len(sys.trace_map), basis.n) == (n_boundary, n_controls)
+        assert (len(sys.mesh.boundary_nodes), basis.n) == (n_boundary, n_controls)
         A = build_forward_model(sys, basis, mesh).A
         assert solve_cols == [min(n_boundary, n_controls)]
         M_cf = control_load_matrix(basis, mesh).toarray()
         # the same factor on every control load: equal up to rounding
-        per_control = sys.solver.solve(M_cf)[sys.trace_map]
+        per_control = sys.solver.solve(M_cf)[sys.mesh.boundary_nodes]
         assert np.linalg.norm(A - per_control) <= 1e-12 * np.linalg.norm(per_control)
         # an independent dense LU is itself only good to about eps * cond(S)
         S = sys.S.toarray()
-        dense = np.linalg.solve(S, M_cf)[sys.trace_map]
+        dense = np.linalg.solve(S, M_cf)[sys.mesh.boundary_nodes]
         tol = np.finfo(float).eps * np.linalg.cond(S)
         assert np.linalg.norm(A - dense) <= tol * np.linalg.norm(dense)
 
@@ -128,7 +128,7 @@ class TestForwardBuild:
     @pytest.mark.parametrize("preset, cols", [("ex5a", 128), ("ex1", 64)])
     def test_preset_build_solves_the_smaller_side(self, solve_cols, preset, cols):
         setup = build_setup(builtin_presets()[preset])
-        build_forward_model(setup.sys_inv, setup.basis_inv, setup.mesh_inv)
+        build_forward_model(setup.sys_inv, setup.basis_inv, setup.sys_inv.mesh)
         assert solve_cols == [cols]
 
 
