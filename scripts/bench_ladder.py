@@ -14,7 +14,8 @@ and reports it with the peak RSS of the process. On every rung and for
 each preset the two trees' processes alternate, and which tree goes first
 alternates from pair to pair, so a machine that drifts in speed affects
 both alike. Every run is stored, with the median wall time and peak RSS
-per rung and preset, under the tree's label, together with the core count
+per rung and preset and the number of pairs in which the tree was the
+faster of the two, under the tree's label, together with the core count
 and the Python, numpy and scipy versions.
 """
 
@@ -29,7 +30,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-RUNGS = ((64, 10), (128, 10), (256, 6), (512, 3))  # (fine cells per side, runs per tree)
+RUNGS = ((64, 10), (128, 10), (256, 6), (512, 6))  # (fine cells per side, runs per tree)
 PRESETS = ("ex5a", "ex7b")
 
 CHILD = """
@@ -62,7 +63,7 @@ def run_once(src: Path, preset: str, cells: int) -> dict:
     return json.loads(done.stdout)
 
 
-def summarize(preset: str, cells: int, runs_of: list[dict]) -> dict:
+def summarize(preset: str, cells: int, runs_of: list[dict], other: list[dict]) -> dict:
     wall = [s["wall_s"] for s in runs_of]
     rss = [s["peak_rss_mb"] for s in runs_of]
     return {
@@ -70,6 +71,7 @@ def summarize(preset: str, cells: int, runs_of: list[dict]) -> dict:
         "fine_cells": cells,
         "wall_s_median": statistics.median(wall),
         "peak_rss_mb_median": statistics.median(rss),
+        "pairs_won": sum(w < s["wall_s"] for w, s in zip(wall, other, strict=True)),
         "runs_s": wall,
         "peak_rss_mb": rss,
     }
@@ -101,10 +103,12 @@ def main(argv: list[str] | None = None) -> int:
                     sample = run_once(src, preset, cells)
                     versions = {key: sample.pop(key) for key in ("numpy", "scipy")}
                     samples[label].append(sample)
-            for label, runs_of in samples.items():
-                rung = summarize(preset, cells, runs_of)
+            (first, _), (second, _) = args.sources
+            for label, other in ((first, second), (second, first)):
+                rung = summarize(preset, cells, samples[label], samples[other])
                 print(f"{label} {preset} {cells}x{cells}: median {rung['wall_s_median']:.3f} s, "
-                      f"{rung['peak_rss_mb_median']:.0f} MB over {runs} runs", file=sys.stderr)
+                      f"{rung['peak_rss_mb_median']:.0f} MB over {runs} runs, faster in "
+                      f"{rung['pairs_won']} of {runs} pairs", file=sys.stderr)
                 rungs[label].append(rung)
 
     data = {

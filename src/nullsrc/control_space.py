@@ -19,26 +19,23 @@ from .mesh import Mesh
 _GEOM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ControlBasis:
     """Control cells covering the domain, in row-major grid order.
 
     Attributes
     ----------
-    cells : (n, 4) float array
-        Rectangles (x0, y0, x1, y1).
-    areas, scale : (n,) float arrays
-        Cell areas and the basis scaling 1/sqrt(area).
+    scale : (n,) float array
+        The basis scaling 1/sqrt(cell area).
     grid_dims : (mx, my)
     cell_centers : (n, 2) float array
     grid_coords : (n, 2) int array
         Integer (gx, gy) grid positions; absent cells (L-shape) are skipped.
+        Cell i is the rectangle [gx/mx, (gx+1)/mx] x [gy/my, (gy+1)/my].
     triangle_cells : (n_tri,) int array
         Containing cell of every mesh triangle.
     """
 
-    cells: np.ndarray
-    areas: np.ndarray
     scale: np.ndarray
     grid_dims: tuple[int, int]
     cell_centers: np.ndarray
@@ -47,7 +44,7 @@ class ControlBasis:
 
     @property
     def n(self) -> int:
-        return self.cells.shape[0]
+        return self.grid_coords.shape[0]
 
 
 def build_control_basis(mesh: Mesh, mx: int, my: int) -> ControlBasis:
@@ -87,7 +84,6 @@ def build_control_basis(mesh: Mesh, mx: int, my: int) -> ControlBasis:
 
     pgx = present % mx
     pgy = present // mx
-    cells = np.column_stack([pgx * wx, pgy * wy, (pgx + 1) * wx, (pgy + 1) * wy])
     areas_cells = np.full(len(present), wx * wy)
 
     # covered area per cell must equal the full rectangle: cells tile Omega
@@ -96,8 +92,6 @@ def build_control_basis(mesh: Mesh, mx: int, my: int) -> ControlBasis:
         raise IncompatibleGrids("mesh does not fully tile some control cells")
 
     return ControlBasis(
-        cells=cells,
-        areas=areas_cells,
         scale=1.0 / np.sqrt(areas_cells),
         grid_dims=(mx, my),
         cell_centers=np.column_stack([(pgx + 0.5) * wx, (pgy + 0.5) * wy]),

@@ -204,7 +204,7 @@ def build_setup(cfg: ExperimentConfig) -> Setup:
     return Setup(sys_inv, build_control_basis(mesh_inv, *cfg.control_dims_inverse))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Synthesis:
     """Synthetic data on the inversion boundary and the truth on the inversion grid."""
 

@@ -59,7 +59,7 @@ CG_CHECK_AT = 10  # iteration at which CG stops if its pace cannot meet CG_RTOL
 JACOBI_OMEGA = 0.6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoefficientField:
     """Diffusivity sigma = diag(kappa1, kappa2), constant per triangle."""
 
@@ -83,7 +83,7 @@ class CoefficientField:
         return cls.diagonal(f1(cx, cy), f2(cx, cy))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FemSystem:
     """The state matrix of one mesh, epsilon and coefficient field.
 

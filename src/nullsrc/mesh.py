@@ -32,9 +32,9 @@ class DomainSpec:
     ny: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mesh:
-    """Conforming triangulation with explicit boundary structure.
+    """Conforming triangulation: its nodes and triangles.
 
     Attributes
     ----------
@@ -42,9 +42,14 @@ class Mesh:
         Vertex coordinates.
     triangles : (n_tri, 3) int array
         Vertex indices, counterclockwise (positive signed area).
+
+    Derived properties
+    ------------------
     boundary_edges : (n_bedges, 2) int array
-        Edges lying on the domain boundary, oriented as traversed by
-        their owning triangle.
+        Edges lying on the domain boundary (in exactly one triangle),
+        oriented as traversed by their owning triangle and sorted by
+        (tail, head). Raises InvalidSpec if an edge has more than two
+        triangles.
     boundary_nodes : (n_bnodes,) int array
         Indices of boundary vertices, ascending.
     triangle_areas : (n_tri,) float array
@@ -54,13 +59,13 @@ class Mesh:
         ends, and edge_of[k] is the edge of directed triangle edge k of
         _edges. Edge e becomes node n_nodes + e of refine_uniform(mesh).
 
-    Both are computed on first use and read-only, so callers share them.
+    All four are computed on first use and read-only, so callers share
+    them and a mesh that is never asked for its boundary never builds it.
+    Meshes compare by identity.
     """
 
     nodes: np.ndarray
     triangles: np.ndarray
-    boundary_edges: np.ndarray
-    boundary_nodes: np.ndarray
 
     @property
     def n_nodes(self) -> int:
@@ -76,6 +81,25 @@ class Mesh:
         area = 0.5 * ((x[1] - x[0]) * (y[2] - y[0]) - (x[2] - x[0]) * (y[1] - y[0]))
         area.flags.writeable = False
         return area
+
+    @cached_property
+    def boundary_edges(self) -> np.ndarray:
+        triangles = np.asarray(self.triangles, dtype=np.int64)
+        u, v, keys = _edges(triangles, int(triangles.max(initial=-1)) + 1)
+        _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+        if (counts > 2).any():
+            raise InvalidSpec("non-manifold edge: more than two incident triangles")
+        once = first[counts == 1]
+        tail, head = u[once], v[once]
+        bedges = np.column_stack([tail, head])[np.lexsort((head, tail))]
+        bedges.flags.writeable = False
+        return bedges
+
+    @cached_property
+    def boundary_nodes(self) -> np.ndarray:
+        bnodes = np.unique(self.boundary_edges)
+        bnodes.flags.writeable = False
+        return bnodes
 
     @cached_property
     def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -98,23 +122,6 @@ def _edges(triangles: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarray,
     u = triangles.ravel()
     v = np.roll(triangles, -1, axis=1).ravel()
     return u, v, np.minimum(u, v) * n_nodes + np.maximum(u, v)
-
-
-def _boundary_structure(triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Boundary edges (appearing in exactly one triangle) and their nodes.
-
-    Edges keep their owning triangle's orientation and are sorted by
-    (tail, head); raises InvalidSpec if an edge has more than two triangles.
-    """
-    triangles = np.asarray(triangles, dtype=np.int64)
-    u, v, keys = _edges(triangles, int(triangles.max(initial=-1)) + 1)
-    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
-    if (counts > 2).any():
-        raise InvalidSpec("non-manifold edge: more than two incident triangles")
-    once = first[counts == 1]
-    tail, head = u[once], v[once]
-    bedges = np.column_stack([tail, head])[np.lexsort((head, tail))]
-    return bedges, np.unique(bedges)
 
 
 def build_mesh(spec: DomainSpec) -> Mesh:
@@ -148,20 +155,16 @@ def build_mesh(spec: DomainSpec) -> Mesh:
     n01, n11 = index[j + 1, i], index[j + 1, i + 1]
     # two triangles per cell, diagonal from lower-left to upper-right
     tri_arr = np.column_stack([n00, n10, n11, n00, n11, n01]).reshape(-1, 3)
-    bedges, bnodes = _boundary_structure(tri_arr)
-    return Mesh(
-        nodes=np.column_stack([col * hx, row * hy]),
-        triangles=tri_arr,
-        boundary_edges=bedges,
-        boundary_nodes=bnodes,
-    )
+    return Mesh(nodes=np.column_stack([col * hx, row * hy]), triangles=tri_arr)
 
 
 def refine_uniform(mesh: Mesh) -> Mesh:
     """Split every triangle into four via edge midpoints.
 
     Coarse nodes keep their indices and coordinates in the fine mesh, so
-    the first n_coarse fine nodes are the coarse ones.
+    the first n_coarse fine nodes are the coarse ones. The fine mesh is
+    built from the coarse edge table alone; its own boundary and edges are
+    derived only if something asks for them.
     """
     n_coarse = mesh.n_nodes
     lo, hi, edge_of = mesh.edges
@@ -172,13 +175,7 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     tri_arr = np.column_stack(
         [a, mab, mca, mab, b, mbc, mca, mbc, c, mab, mbc, mca]
     ).reshape(-1, 3)
-    bedges, bnodes = _boundary_structure(tri_arr)
-    return Mesh(
-        nodes=fine_nodes,
-        triangles=tri_arr,
-        boundary_edges=bedges,
-        boundary_nodes=bnodes,
-    )
+    return Mesh(nodes=fine_nodes, triangles=tri_arr)
 
 
 def prolongation(coarse: Mesh) -> scipy.sparse.csr_matrix:

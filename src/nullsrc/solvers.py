@@ -31,7 +31,7 @@ class Method(Enum):
     MIN_NORM = "min_norm"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolveResult:
     """Outcome of one regularized solve, in control-basis coefficients.
 

@@ -25,7 +25,7 @@ DEGENERATE_TOL = 1e-8
 Svd = tuple[np.ndarray, np.ndarray, np.ndarray]  # thin SVD (U, s, V), V as columns
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ForwardModel:
     """Discrete forward map and its whitened version.
 
@@ -39,7 +39,7 @@ class ForwardModel:
     A_hat: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralData:
     """Thin SVD of the whitened forward matrix and derived quantities.
 

@@ -1,5 +1,7 @@
 """Control-basis construction, load assembly and projection tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -46,7 +48,6 @@ def old_control_basis(mesh, mx, my):
     areas = np.full(len(present), wx * wy)
     return {
         "cells": np.column_stack([pgx * wx, pgy * wy, (pgx + 1) * wx, (pgy + 1) * wy]),
-        "areas": areas,
         "scale": 1.0 / np.sqrt(areas),
         "grid_dims": (mx, my),
         "cell_centers": np.column_stack([(pgx + 0.5) * wx, (pgy + 0.5) * wy]),
@@ -55,11 +56,18 @@ def old_control_basis(mesh, mx, my):
     }
 
 
+def cell_rectangles(basis):
+    """The (x0, y0, x1, y1) rectangle of every cell, from its grid position."""
+    (mx, my), (gx, gy) = basis.grid_dims, basis.grid_coords.T
+    wx, wy = 1.0 / mx, 1.0 / my
+    return np.column_stack([gx * wx, gy * wy, (gx + 1) * wx, (gy + 1) * wy])
+
+
 def old_projection(src, src_coeffs, dst):
     """Dense rectangle-intersection integration over every (source, destination) pair."""
     values = coefficients_to_cell_field(src, src_coeffs)
-    ax0, ay0, ax1, ay1 = src.cells.T
-    bx0, by0, bx1, by1 = dst.cells.T
+    ax0, ay0, ax1, ay1 = cell_rectangles(src).T
+    bx0, by0, bx1, by1 = cell_rectangles(dst).T
     ox = np.maximum(
         0.0, np.minimum(ax1[:, None], bx1[None, :]) - np.maximum(ax0[:, None], bx0[None, :])
     )
@@ -92,7 +100,7 @@ class TestBuildControlBasis:
         mesh = build_mesh(DomainSpec(Shape.L_SHAPE, 8, 8))
         basis = build_control_basis(mesh, 4, 4)
         assert basis.n == 12
-        assert basis.areas.sum() == pytest.approx(0.75, rel=1e-12)
+        assert (1.0 / basis.scale**2).sum() == pytest.approx(0.75, rel=1e-12)
 
     def test_incompatible_raises(self):
         mesh = build_mesh(DomainSpec(Shape.UNIT_SQUARE, 3, 3))
@@ -112,8 +120,12 @@ class TestBuildControlBasis:
     def test_matches_old_code_field_by_field(self, shape, n, m):
         mesh = build_mesh(DomainSpec(shape, n, n))
         basis = build_control_basis(mesh, m, m)
-        for name, expected in old_control_basis(mesh, m, m).items():
-            assert np.array_equal(getattr(basis, name), expected), name
+        old = old_control_basis(mesh, m, m)
+        # the basis keeps no rectangles: they follow from grid_coords and grid_dims
+        assert {f.name for f in dataclasses.fields(basis)} | {"cells"} == old.keys()
+        for name, expected in old.items():
+            got = cell_rectangles(basis) if name == "cells" else getattr(basis, name)
+            assert np.array_equal(got, expected), name
 
     @pytest.mark.parametrize(
         "shape, n, m", [(Shape.UNIT_SQUARE, 3, 2), (Shape.UNIT_SQUARE, 12, 8), (Shape.L_SHAPE, 6, 4)]
@@ -144,13 +156,13 @@ class TestControlLoadMatrix:
     def test_column_sums_are_sqrt_area(self, square8):
         mesh, sys, basis = square8
         M_cf = control_load_matrix(basis, mesh).toarray()
-        np.testing.assert_allclose(M_cf.sum(axis=0), np.sqrt(basis.areas), rtol=1e-12)
+        np.testing.assert_allclose(M_cf.sum(axis=0), 1.0 / basis.scale, rtol=1e-12)
 
     def test_constant_function_consistency(self, square8):
         mesh, sys, basis = square8
         # f = 1 expanded in the basis has coefficients sqrt(area)
         M_cf = control_load_matrix(basis, mesh)
-        load = M_cf @ np.sqrt(basis.areas)
+        load = M_cf @ (1.0 / basis.scale)
         np.testing.assert_allclose(load, stiffness_and_mass(mesh)[1] @ np.ones(mesh.n_nodes), atol=1e-12)
 
     def test_source_load_matches_matrix_product(self):
@@ -275,8 +287,7 @@ class TestProjection:
         touches = cell_touches_boundary(basis)
         # on the 4x4 L-grid every present cell touches the boundary except none;
         # compare against a direct geometric rule
-        for i in range(basis.n):
-            x0, y0, x1, y1 = basis.cells[i]
+        for i, (x0, y0, x1, y1) in enumerate(cell_rectangles(basis)):
             on_outer = x0 == 0 or y0 == 0 or x1 == 1 or y1 == 1
             on_reentrant = (x1 == 0.5 and y0 >= 0.5) or (y1 == 0.5 and x0 >= 0.5)
             assert touches[i] == (on_outer or on_reentrant)

@@ -281,6 +281,9 @@ class TestRunExperiment:
         assert fine.n_nodes == 4225 and inversion.n_nodes == 1089
         assert {"B", "R", "_factor"} <= vars(inversion).keys()
         assert not {"B", "R", "_factor"} & vars(fine).keys()
+        # nor does the fine mesh derive a boundary: only the inversion one is observed
+        assert {"boundary_edges", "boundary_nodes"} <= vars(inversion.mesh).keys()
+        assert not {"boundary_edges", "boundary_nodes"} & vars(fine.mesh).keys()
 
 
 class TestOverlap:

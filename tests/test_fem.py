@@ -29,6 +29,18 @@ def square3():
 
 
 class TestAssemble:
+    def test_mesh_and_system_compare_by_identity(self):
+        # array fields have no truth value: equality and hashing go by identity
+        def build():
+            mesh = build_mesh(DomainSpec(Shape.L_SHAPE, 4, 4))
+            return mesh, assemble(mesh, 1e-3)
+
+        for x, twin in zip(build(), build(), strict=True):
+            assert x == x
+            assert x != twin
+            assert hash(x) == hash(x) != hash(twin)
+            assert len({x, twin}) == 2
+
     def test_mass_total(self, square3):
         mesh, _ = square3
         assert stiffness_and_mass(mesh)[1].sum() == pytest.approx(1.0, rel=1e-10)

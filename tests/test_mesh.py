@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse
 
 from nullsrc import DomainSpec, InvalidSpec, Shape, build_mesh, refine_uniform
-from nullsrc.mesh import Mesh, _boundary_structure, prolongation
+from nullsrc.mesh import Mesh, prolongation
 
 
 def boundary_length(mesh):
@@ -51,8 +51,7 @@ def reference_build_mesh(spec):
             n01, n11 = index[j + 1, i], index[j + 1, i + 1]
             triangles.append((n00, n10, n11))
             triangles.append((n00, n11, n01))
-    tri_arr = np.array(triangles, dtype=np.int64)
-    return Mesh(np.array(nodes, dtype=np.float64), tri_arr, *reference_boundary_structure(tri_arr))
+    return Mesh(np.array(nodes, dtype=np.float64), np.array(triangles, dtype=np.int64))
 
 
 def reference_refine_uniform(mesh):
@@ -72,8 +71,7 @@ def reference_refine_uniform(mesh):
         mbc = midpoint[(min(b, c), max(b, c))]
         mca = midpoint[(min(c, a), max(c, a))]
         fine_tris.extend([(a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca)])
-    tri_arr = np.array(fine_tris, dtype=np.int64)
-    return Mesh(fine_nodes, tri_arr, *reference_boundary_structure(tri_arr))
+    return Mesh(fine_nodes, np.array(fine_tris, dtype=np.int64))
 
 
 def assert_identical(actual, expected):
@@ -82,8 +80,11 @@ def assert_identical(actual, expected):
 
 
 def assert_same_mesh(mesh, ref):
-    for name in ("nodes", "triangles", "boundary_edges", "boundary_nodes"):
-        assert_identical(getattr(mesh, name), getattr(ref, name))
+    assert_identical(mesh.nodes, ref.nodes)
+    assert_identical(mesh.triangles, ref.triangles)
+    bedges, bnodes = reference_boundary_structure(ref.triangles)
+    assert_identical(mesh.boundary_edges, bedges)
+    assert_identical(mesh.boundary_nodes, bnodes)
 
 
 ORACLE_SPECS = [
@@ -114,8 +115,9 @@ class TestMatchesLoopReference:
     def test_non_manifold_edge_raises(self):
         # three triangles share the edge (0, 1)
         triangles = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]], dtype=np.int64)
+        mesh = Mesh(np.zeros((5, 2)), triangles)  # the check runs when the boundary is derived
         with pytest.raises(InvalidSpec, match="non-manifold"):
-            _boundary_structure(triangles)
+            mesh.boundary_edges
 
 
 class TestBuildMesh:
@@ -149,7 +151,9 @@ class TestBuildMesh:
         mesh = build_mesh(DomainSpec(Shape.L_SHAPE, 4, 4))
         edges = mesh.edges
         assert all(again is first for again, first in zip(mesh.edges, edges, strict=True))
-        for array in edges:
+        assert mesh.boundary_edges is mesh.boundary_edges
+        assert mesh.boundary_nodes is mesh.boundary_nodes
+        for array in (*edges, mesh.boundary_edges, mesh.boundary_nodes):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
         lo, hi, edge_of = edges
