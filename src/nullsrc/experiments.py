@@ -28,7 +28,7 @@ import json
 import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -77,28 +77,19 @@ def parse_method(name: str) -> Method:
 
 @dataclass(frozen=True)
 class SigmaSpec:
-    """JSON-friendly diffusivity description.
-
-    kind "identity" or "affine"; affine fields are kappa(x, y) =
-    c0 + cx*x + cy*y per component, sampled at triangle centroids.
+    """Diagonal diffusivity sigma = diag(kappa1, kappa2), each component an
+    affine triple (c0, cx, cy): kappa(x, y) = c0 + cx*x + cy*y, sampled at
+    triangle centroids. The default triples (1, 0, 0) are the identity.
     """
 
-    kind: str = "identity"
     kappa1: tuple[float, float, float] = (1.0, 0.0, 0.0)
     kappa2: tuple[float, float, float] = (1.0, 0.0, 0.0)
 
     def materialize(self, mesh: Mesh) -> CoefficientField:
-        if self.kind == "identity":
-            return CoefficientField.identity(mesh)
-        if self.kind == "affine":
-            a0, ax, ay = self.kappa1
-            b0, bx, by = self.kappa2
-            return CoefficientField.from_functions(
-                mesh,
-                lambda x, y: a0 + ax * x + ay * y,
-                lambda x, y: b0 + bx * x + by * y,
-            )
-        raise ConfigError(f"unknown sigma kind {self.kind!r}")
+        x, y = mesh.nodes[:, 0][mesh.triangles.T], mesh.nodes[:, 1][mesh.triangles.T]
+        cx, cy = (x[0] + x[1] + x[2]) / 3.0, (y[0] + y[1] + y[2]) / 3.0
+        (a0, ax, ay), (b0, bx, by) = self.kappa1, self.kappa2
+        return CoefficientField(a0 + ax * cx + ay * cy, b0 + bx * cx + by * cy)
 
 
 @dataclass(frozen=True)
@@ -153,8 +144,9 @@ class ExperimentResult:
 
 def validate_config(cfg: ExperimentConfig) -> None:
     """Raise ConfigError unless every number is finite and within its range."""
-    if not cfg.methods:
-        raise ConfigError("at least one method is required")
+    if not cfg.methods or len(set(cfg.methods)) < len(cfg.methods):
+        names = [m.value for m in cfg.methods]
+        raise ConfigError(f"list at least one method and each method once, got {names}")
     rule = cfg.alpha if isinstance(cfg.alpha, MorozovRule) else None
     numbers = [cfg.epsilon, cfg.noise_kappa, cfg.rank_tol, *cfg.sigma.kappa1, *cfg.sigma.kappa2]
     numbers += [a for _, a in cfg.true_source]
@@ -385,26 +377,15 @@ def _write_csv(path: Path, header: str, *columns: list[str]) -> None:
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    if isinstance(cfg.alpha, MorozovRule):
-        alpha = {
-            "rule": "morozov",
-            "alpha_min": cfg.alpha.alpha_min,
-            "alpha_max": cfg.alpha.alpha_max,
-            "rel_tol": cfg.alpha.rel_tol,
-        }
-    else:
-        alpha = cfg.alpha
+    rule = isinstance(cfg.alpha, MorozovRule)
+    alpha = {"rule": "morozov", **asdict(cfg.alpha)} if rule else cfg.alpha
     return {
         "name": cfg.name,
         "domain": {"shape": cfg.domain.shape.value, "nx": cfg.domain.nx, "ny": cfg.domain.ny},
         "control_dims_forward": list(cfg.control_dims_forward),
         "control_dims_inverse": list(cfg.control_dims_inverse),
         "epsilon": cfg.epsilon,
-        "sigma": {
-            "kind": cfg.sigma.kind,
-            "kappa1": list(cfg.sigma.kappa1),
-            "kappa2": list(cfg.sigma.kappa2),
-        },
+        "sigma": {"kappa1": list(cfg.sigma.kappa1), "kappa2": list(cfg.sigma.kappa2)},
         "true_source": [{"cell": c, "amplitude": a} for c, a in cfg.true_source],
         "methods": [m.value for m in cfg.methods],
         "alpha": alpha,
@@ -431,6 +412,12 @@ def _float(value) -> float:
     return float(value)
 
 
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
 def _bool(value) -> bool:
     if not isinstance(value, bool):
         raise TypeError(f"expected true or false, got {value!r}")
@@ -448,6 +435,23 @@ def _array(item):
     return convert
 
 
+def _known(raw: dict, keys: tuple[str, ...], where: str) -> dict:
+    """raw, once each of its keys is one of keys."""
+    unknown = [key for key in raw.keys() if key not in keys]
+    if unknown:
+        raise ConfigError(f"unknown {where} key {unknown[0]!r} (known: {', '.join(keys)})")
+    return raw
+
+
+def _names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
+def _source(entry: dict) -> tuple[int, float]:
+    entry = _known(entry, ("cell", "amplitude"), "true_source entry")
+    return _int(entry["cell"]), _float(entry.get("amplitude", 1.0))
+
+
 def _given(raw: dict, **convert) -> dict:
     """The entries of raw named in convert, each converted by its function;
     absent keys are left out so the dataclass defaults apply."""
@@ -457,16 +461,20 @@ def _given(raw: dict, **convert) -> dict:
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Convert a JSON config; a value of the wrong JSON type raises ConfigError.
 
-    Integers are JSON integers, numbers are JSON numbers, flags are JSON
-    booleans and sequences are JSON arrays. Strings that int() or float()
-    parse are accepted for integers and numbers, so CLI overrides convert
-    here like config-file values.
+    Each object's keys are the fields of the dataclass it fills ("rule"
+    too for alpha; "cell" and "amplitude" for a true-source entry). Integers
+    are JSON integers, numbers are JSON numbers, flags are JSON booleans,
+    the name is a JSON string and sequences are JSON arrays. Strings that
+    int() or float() parse are accepted for integers and numbers, so CLI
+    overrides convert here like config-file values.
     """
     try:
-        dom = data["domain"]
+        _known(data, _names(ExperimentConfig), "config")
+        dom = _known(data["domain"], _names(DomainSpec), "domain")
         shape = Shape(dom["shape"])
         alpha_raw = data["alpha"]
         if isinstance(alpha_raw, dict):
+            _known(alpha_raw, ("rule", *_names(MorozovRule)), "alpha")
             if alpha_raw.get("rule") != "morozov":
                 raise ConfigError(f"unknown alpha rule {alpha_raw!r}")
             alpha: float | MorozovRule = MorozovRule(
@@ -477,16 +485,15 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         else:
             alpha = _float(alpha_raw)
         floats, ints = _array(_float), _array(_int)
-        sources = _array(lambda t: (_int(t["cell"]), _float(t.get("amplitude", 1.0))))
-        sigma = SigmaSpec(**_given(data.get("sigma", {}), kind=str, kappa1=floats, kappa2=floats))
+        sigma = _known(data.get("sigma", {}), _names(SigmaSpec), "sigma")
         return ExperimentConfig(
-            name=str(data.get("name", "custom")),
+            name=_string(data.get("name", "custom")),
             domain=DomainSpec(shape, _int(dom["nx"]), _int(dom["ny"])),
             control_dims_forward=ints(data["control_dims_forward"]),
             control_dims_inverse=ints(data["control_dims_inverse"]),
             epsilon=_float(data["epsilon"]),
-            sigma=sigma,
-            true_source=sources(data["true_source"]),
+            sigma=SigmaSpec(**_given(sigma, kappa1=floats, kappa2=floats)),
+            true_source=_array(_source)(data["true_source"]),
             methods=_array(parse_method)(data["methods"]),
             alpha=alpha,
             **_given(data, noise_kappa=_float, seed=_int, inverse_crime=_bool, rank_tol=_float),
@@ -642,7 +649,7 @@ def builtin_presets() -> dict[str, ExperimentConfig]:
         replace(
             base,
             name="ex4",
-            sigma=SigmaSpec(kind="affine", kappa1=(1.0, 0.5, 0.0), kappa2=(1.0, 0.0, 0.25)),
+            sigma=SigmaSpec(kappa1=(1.0, 0.5, 0.0), kappa2=(1.0, 0.0, 0.25)),
             true_source=block(3, 7),
             alpha=1e-4,
             seed=104,

@@ -61,7 +61,7 @@ JACOBI_OMEGA = 0.6
 
 @dataclass(frozen=True, eq=False)
 class CoefficientField:
-    """Diffusivity sigma = diag(kappa1, kappa2), constant per triangle."""
+    """Diffusivity sigma = diag(kappa1, kappa2), one value per triangle (see SigmaSpec)."""
 
     kappa1: np.ndarray
     kappa2: np.ndarray
@@ -70,17 +70,6 @@ class CoefficientField:
     def identity(cls, mesh: Mesh) -> "CoefficientField":
         ones = np.ones(mesh.n_triangles)
         return cls(ones, ones.copy())
-
-    @classmethod
-    def diagonal(cls, kappa1: np.ndarray, kappa2: np.ndarray) -> "CoefficientField":
-        return cls(np.asarray(kappa1, dtype=np.float64), np.asarray(kappa2, dtype=np.float64))
-
-    @classmethod
-    def from_functions(cls, mesh: Mesh, f1, f2) -> "CoefficientField":
-        """Sample two callables (x, y) -> kappa at triangle centroids."""
-        x, y = mesh.nodes[:, 0][mesh.triangles.T], mesh.nodes[:, 1][mesh.triangles.T]
-        cx, cy = (x[0] + x[1] + x[2]) / 3.0, (y[0] + y[1] + y[2]) / 3.0
-        return cls.diagonal(f1(cx, cy), f2(cx, cy))
 
 
 @dataclass(frozen=True, eq=False)

@@ -78,8 +78,8 @@ def test_usage_error_exits_2():
 # spectrum_reference.json keeps the numbers of the per-control build, and
 # the test holds the new output to them.
 SPECTRUM_SHA256 = {
-    "ex3": "01f7b8eea5f51c71820e4f37ff2c193860c259bf5c63510ffe1d62b87a13ba78",
-    "ex5a": "93ea61e0b4b427e480607cd9f434f5265c07f05dbb799c629c60880958ab5359",
+    "ex3": "e59d7e97b805f0bc06ed9996f84adf53e3a4490e1f6833ae0c1bfb2089291114",
+    "ex5a": "cc1f85efd826c770870645d10bbc93539cd2e53f9a92041c5fb453c518f7df46",
 }
 SPECTRUM_REFERENCE = json.loads((Path(__file__).parent / "spectrum_reference.json").read_text())
 
@@ -175,7 +175,7 @@ def test_manifest_names_the_data_solve_and_rank_cut(tmp_path):
 
 def _run_ex4_with_sigma(tmp_path, kappa1, kappa2):
     data = config_to_dict(builtin_presets()["ex4"])
-    data["sigma"] = {"kind": "affine", "kappa1": kappa1, "kappa2": kappa2}
+    data["sigma"] = {"kappa1": kappa1, "kappa2": kappa2}
     config = tmp_path / "config.json"
     config.write_text(json.dumps(data))
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
@@ -272,22 +272,30 @@ def test_bad_number_override_exits_2(tmp_path, capsys, override, message):
 @pytest.mark.parametrize(
     "preset, key, value, message",
     [
-        ("ex4", "sigma", {"kind": "affine", "kappa1": [1.0, 0.5], "kappa2": [1, 0, 0]}, "kappa1"),
+        ("ex4", "sigma", {"kappa1": [1.0, 0.5], "kappa2": [1, 0, 0]}, "kappa1"),
         ("ex6a", "alpha", {"rule": "morozov", "alpha_min": 0}, "alpha_min"),
         ("ex6a", "alpha", {"rule": "morozov", "rel_tol": 0}, "rel_tol"),
         ("ex1", "true_source", [{"cell": 34, "amplitude": float("nan")}], "finite"),
         ("ex1", "control_dims_forward", [5, 5], "straddles"),
         ("ex1", "control_dims_inverse", [0, 8], "positive"),
         ("ex1", "control_dims_forward", [8, 8, 8], "two entries"),
-        ("ex4", "sigma", {"kind": "affine", "kappa1": [-1, 0, 0], "kappa2": [1, 0, 0]}, "positive"),
+        ("ex4", "sigma", {"kappa1": [-1, 0, 0], "kappa2": [1, 0, 0]}, "positive"),
         ("ex1", "inverse_crime", "false", "expected true or false"),
         ("ex1", "seed", 1.5, "expected an integer"),
         ("ex1", "domain", {"shape": "unit_square", "nx": 8.9, "ny": 8}, "expected an integer"),
         ("ex1", "true_source", [{"cell": 5.7, "amplitude": 1.0}], "expected an integer"),
         ("ex1", "methods", "ii", "expected an array"),
         ("ex1", "control_dims_inverse", "44", "expected an array"),
-        ("ex4", "sigma", {"kind": "affine", "kappa1": "123", "kappa2": [1, 0, 0]}, "expected an array"),
+        ("ex4", "sigma", {"kappa1": "123", "kappa2": [1, 0, 0]}, "expected an array"),
         ("ex1", "epsilon", True, "expected a number"),
+        ("ex1", "sigma", {"kappa1": [-1, 0, 0], "kappa2": [1, 0, 0]}, "positive"),
+        ("ex4", "sigma", {"kind": "affine", "kappa1": [1, 0.5, 0], "kappa2": [1, 0, 0.25]}, "'kind'"),
+        ("ex1", "noise_kapa", 0.2, "'noise_kapa'"),
+        ("ex1", "domain", {"shape": "unit_square", "nx": 16, "ny": 16, "nz": 4}, "'nz'"),
+        ("ex6a", "alpha", {"rule": "morozov", "alpha_mn": 1e-8}, "'alpha_mn'"),
+        ("ex1", "true_source", [{"cell": 34, "amplitdue": 2.0}], "'amplitdue'"),
+        ("ex1", "name", None, "expected a string, got None"),
+        ("ex1", "methods", ["ii", "method_ii"], "each method once, got ['method_ii', 'method_ii']"),
     ],
     ids=[
         "kappa1-length-2",
@@ -306,6 +314,14 @@ def test_bad_number_override_exits_2(tmp_path, capsys, override, message):
         "control-dims-string",
         "kappa1-string",
         "epsilon-bool",
+        "kappa1-negative-without-kind",
+        "sigma-kind",
+        "unknown-top-level-key",
+        "unknown-domain-key",
+        "unknown-alpha-key",
+        "unknown-true-source-key",
+        "name-null",
+        "method-twice",
     ],
 )
 def test_bad_config_value_exits_2(tmp_path, capsys, preset, key, value, message):

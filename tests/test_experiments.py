@@ -2,7 +2,7 @@
 
 import json
 import threading
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -401,8 +401,13 @@ class TestPresets:
         assert presets["ex7b"].epsilon == -100.0
 
     def test_config_round_trip(self):
+        # the dict's keys are the dataclass fields, and it survives JSON
         for cfg in builtin_presets().values():
-            assert config_from_dict(config_to_dict(cfg)) == cfg
+            data = config_to_dict(cfg)
+            assert list(data) == [f.name for f in fields(ExperimentConfig)]
+            assert list(data["domain"]) == [f.name for f in fields(DomainSpec)]
+            assert list(data["sigma"]) == [f.name for f in fields(SigmaSpec)]
+            assert config_from_dict(json.loads(json.dumps(data))) == cfg
 
     def test_numeric_alpha_string(self):
         data = config_to_dict(builtin_presets()["ex1"])

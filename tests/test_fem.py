@@ -17,7 +17,7 @@ from nullsrc import (
     build_mesh,
 )
 from nullsrc.control_space import build_control_basis, source_load
-from nullsrc.experiments import build_setup, builtin_presets
+from nullsrc.experiments import SigmaSpec, build_setup, builtin_presets
 from nullsrc.fem import StateSolver, solve_data, stiffness_and_mass
 from nullsrc.mesh import refine_uniform
 
@@ -82,9 +82,7 @@ class TestAssemble:
     def test_anisotropic_stiffness_scales(self):
         # constant kappa1=2 doubles the x-derivative energy of u = x
         mesh = build_mesh(DomainSpec(Shape.UNIT_SQUARE, 4, 4))
-        k = CoefficientField.diagonal(
-            np.full(mesh.n_triangles, 2.0), np.ones(mesh.n_triangles)
-        )
+        k = CoefficientField(np.full(mesh.n_triangles, 2.0), np.ones(mesh.n_triangles))
         K, _ = stiffness_and_mass(mesh, k)
         ux = mesh.nodes[:, 0]
         # energy = integral kappa1 |du/dx|^2 = 2 * |Omega| = 2
@@ -94,9 +92,7 @@ class TestAssemble:
 
     def test_rejects_nonpositive_coefficient(self):
         mesh = build_mesh(DomainSpec(Shape.UNIT_SQUARE, 2, 2))
-        bad = CoefficientField.diagonal(
-            np.zeros(mesh.n_triangles), np.ones(mesh.n_triangles)
-        )
+        bad = CoefficientField(np.zeros(mesh.n_triangles), np.ones(mesh.n_triangles))
         with pytest.raises(NonPositiveCoefficient):
             assemble(mesh, 1.0, bad)
 
@@ -130,7 +126,7 @@ def old_stiffness_and_mass(mesh, sigma):
     return K, M
 
 
-AFFINE = (lambda x, y: 1.0 + 0.5 * x, lambda x, y: 1.0 + 0.25 * y)
+AFFINE = SigmaSpec(kappa1=(1.0, 0.5, 0.0), kappa2=(1.0, 0.0, 0.25))
 
 
 @pytest.mark.parametrize(
@@ -146,7 +142,7 @@ class TestElementSums:
     @staticmethod
     def problem(shape, n, affine):
         mesh = build_mesh(DomainSpec(shape, n, n))
-        sigma = CoefficientField.from_functions(mesh, *AFFINE) if affine else None
+        sigma = AFFINE.materialize(mesh) if affine else None
         return mesh, sigma
 
     def test_stiffness_and_mass_match_old_assembly(self, shape, n, epsilon, affine):
@@ -167,6 +163,42 @@ class TestElementSums:
         assert np.array_equal(S_sorted.indices, ref.indices)
         scale = np.abs(ref.data).max()
         assert np.abs(S_sorted.data - ref.data).max() <= 1e-14 * scale
+
+
+def loop_sigma(mesh, spec):
+    """kappa1 and kappa2 triangle by triangle, each c0 + cx*x + cy*y at the
+    centroid (x0 + x1 + x2) / 3, as an affine field was sampled before
+    SigmaSpec.materialize evaluated it directly."""
+    kappas = []
+    for c0, cx, cy in (spec.kappa1, spec.kappa2):
+        values = []
+        for tri in mesh.triangles.tolist():
+            (x0, y0), (x1, y1), (x2, y2) = (mesh.nodes[i].tolist() for i in tri)
+            values.append(c0 + cx * ((x0 + x1 + x2) / 3.0) + cy * ((y0 + y1 + y2) / 3.0))
+        kappas.append(np.array(values))
+    return kappas
+
+
+class TestMaterialize:
+    @pytest.mark.parametrize("refined", [False, True], ids=["built", "refined"])
+    @pytest.mark.parametrize("shape", [Shape.UNIT_SQUARE, Shape.L_SHAPE])
+    @pytest.mark.parametrize("preset", ["ex1", "ex4"])  # the default triples and the affine field
+    def test_matches_loop_oracle_bit_for_bit(self, preset, shape, refined):
+        mesh = build_mesh(DomainSpec(shape, 8, 8))
+        if refined:
+            mesh = refine_uniform(mesh)
+        spec = builtin_presets()[preset].sigma
+        sigma = spec.materialize(mesh)
+        for got, want in zip((sigma.kappa1, sigma.kappa2), loop_sigma(mesh, spec)):
+            assert got.dtype == np.float64 and np.array_equal(got, want)
+        if spec == SigmaSpec():
+            identity = CoefficientField.identity(mesh)
+            assert np.array_equal(sigma.kappa1, identity.kappa1)
+            assert np.array_equal(sigma.kappa2, identity.kappa2)
+
+    def test_default_is_the_identity(self):
+        assert builtin_presets()["ex1"].sigma == SigmaSpec()
+        assert [f.name for f in dataclasses.fields(SigmaSpec)] == ["kappa1", "kappa2"]
 
 
 class TestSolveState:
