@@ -7,13 +7,15 @@ given as LABEL=PATH:
 
 Each tree runs `nullsrc preset NAME --out DIR` for every preset of its
 `builtin_presets()`, all in one fresh Python process per tree, into a
-temporary directory. For each preset the script prints whether every
-output file is byte-identical, or which files differ or exist in one
-tree only. Then it prints, for each manifest number that differs in any
-preset, the largest relative difference |a - b| / max(|a|, |b|) over the
-presets and the preset where it occurs, and any other manifest value
-that differs. The exit code is 0 when every file is byte-identical and
-1 otherwise.
+temporary directory; the same process writes the stdout of
+`nullsrc spectrum --preset NAME` to `NAME/spectrum.json` and that of
+`nullsrc verify` to `verify/stdout.txt`. For each preset, and for
+verify, the script prints whether every output file is byte-identical,
+or which files differ or exist in one tree only. Then it prints, for
+each manifest number that differs in any preset, the largest relative
+difference |a - b| / max(|a|, |b|) over the presets and the preset
+where it occurs, and any other manifest value that differs. The exit
+code is 0 when every file is byte-identical and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -29,16 +31,28 @@ from pathlib import Path
 from bench_ladder import source  # LABEL=PATH; the script's own directory is on sys.path
 
 CHILD = """
+import contextlib
+import io
 import sys
 from pathlib import Path
 from nullsrc.cli import main
 from nullsrc.experiments import builtin_presets
 
+def run(argv, stdout_path=None):
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        code = main(argv)
+    if code != 0:
+        sys.exit(f"{' '.join(argv)} exited with {code}")
+    if stdout_path is not None:
+        stdout_path.parent.mkdir(parents=True, exist_ok=True)
+        stdout_path.write_text(text.getvalue())
+
 out = Path(sys.argv[1])
 for name in builtin_presets():
-    code = main(["preset", name, "--out", str(out / name)])
-    if code != 0:
-        sys.exit(f"preset {name} exited with {code}")
+    run(["preset", name, "--out", str(out / name)])
+    run(["spectrum", "--preset", name], out / name / "spectrum.json")
+run(["verify"], out / "verify" / "stdout.txt")
 """
 
 

@@ -91,7 +91,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    results = run_all(quick=args.quick)
+    results = run_all()
     width = max(len(r.name) for r in results)
     ok = True
     for r in results:
@@ -129,7 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
     spec_p.set_defaults(func=_cmd_spectrum)
 
     verify_p = sub.add_parser("verify", help="run the recovery-guarantee property suite")
-    verify_p.add_argument("--quick", action="store_true", help="coarse meshes, fewer trials")
     verify_p.set_defaults(func=_cmd_verify)
     return parser
 

@@ -25,10 +25,9 @@ class ControlBasis:
 
     Attributes
     ----------
-    scale : (n,) float array
-        The basis scaling 1/sqrt(cell area).
+    scale : float
+        The basis scaling 1/sqrt(cell area); every cell has area 1/(mx*my).
     grid_dims : (mx, my)
-    cell_centers : (n, 2) float array
     grid_coords : (n, 2) int array
         Integer (gx, gy) grid positions; absent cells (L-shape) are skipped.
         Cell i is the rectangle [gx/mx, (gx+1)/mx] x [gy/my, (gy+1)/my].
@@ -36,15 +35,20 @@ class ControlBasis:
         Containing cell of every mesh triangle.
     """
 
-    scale: np.ndarray
+    scale: float
     grid_dims: tuple[int, int]
-    cell_centers: np.ndarray
     grid_coords: np.ndarray
     triangle_cells: np.ndarray
 
     @property
     def n(self) -> int:
         return self.grid_coords.shape[0]
+
+    @property
+    def cell_centers(self) -> np.ndarray:
+        """(n, 2) cell midpoints."""
+        (mx, my), (gx, gy) = self.grid_dims, self.grid_coords.T
+        return np.column_stack([(gx + 0.5) * (1.0 / mx), (gy + 0.5) * (1.0 / my)])
 
 
 def build_control_basis(mesh: Mesh, mx: int, my: int) -> ControlBasis:
@@ -82,20 +86,15 @@ def build_control_basis(mesh: Mesh, mx: int, my: int) -> ControlBasis:
     present = np.unique(flat)  # ascending == row-major order
     tri_cells = np.searchsorted(present, flat)
 
-    pgx = present % mx
-    pgy = present // mx
-    areas_cells = np.full(len(present), wx * wy)
-
     # covered area per cell must equal the full rectangle: cells tile Omega
     covered = np.bincount(tri_cells, mesh.triangle_areas, minlength=len(present))
-    if not np.allclose(covered, areas_cells, rtol=1e-10, atol=0.0):
+    if not np.allclose(covered, wx * wy, rtol=1e-10, atol=0.0):
         raise IncompatibleGrids("mesh does not fully tile some control cells")
 
     return ControlBasis(
-        scale=1.0 / np.sqrt(areas_cells),
+        scale=float(1.0 / np.sqrt(wx * wy)),
         grid_dims=(mx, my),
-        cell_centers=np.column_stack([(pgx + 0.5) * wx, (pgy + 0.5) * wy]),
-        grid_coords=np.column_stack([pgx, pgy]).astype(np.int64),
+        grid_coords=np.column_stack([present % mx, present // mx]).astype(np.int64),
         triangle_cells=tri_cells,
     )
 
@@ -104,11 +103,11 @@ def control_load_matrix(basis: ControlBasis, mesh: Mesh) -> scipy.sparse.csc_mat
     """Sparse (CSC) load matrix M_cf with column i the P1 load vector of phi_i.
 
     Column entries are integral(phi_i * lambda_k); phi_i is constant on
-    each triangle, so every triangle in cell i contributes
-    scale_i * area_T / 3 to each of its three vertices (exact). The
-    matrix is built from those triplets, three per triangle.
+    each triangle, so every triangle contributes scale * area_T / 3 to
+    each of its three vertices (exact). The matrix is built from those
+    triplets, three per triangle.
     """
-    contrib = basis.scale[basis.triangle_cells] * mesh.triangle_areas / 3.0
+    contrib = basis.scale * mesh.triangle_areas / 3.0
     rows = mesh.triangles.T.ravel()
     cols = np.tile(basis.triangle_cells, 3)
     return scipy.sparse.csc_matrix(

@@ -41,7 +41,7 @@ from .control_space import (
     project_cell_function,
     source_load,
 )
-from .errors import ConfigError, IllConditioned, NullsrcError
+from .errors import ConfigError, IllConditioned, InvalidSpec, NullsrcError
 from .fem import CoefficientField, DataSolve, FemSystem, assemble, solve_data
 from .mesh import DomainSpec, Mesh, Shape, build_mesh, refine_uniform
 from .solvers import (
@@ -128,18 +128,15 @@ class MethodOutcome:
 
 @dataclass
 class ExperimentResult:
+    """One run's inputs, data and per-method outcomes; `spectrum` holds the
+    manifest's SVD diagnostics under their manifest keys (see run_experiment)."""
+
     config: ExperimentConfig
     mesh_inverse: Mesh
     basis_inverse: ControlBasis
     synthesis: Synthesis
+    spectrum: dict[str, float | int]
     outcomes: dict[str, MethodOutcome] = field(default_factory=dict)
-    w_min: float = 0.0
-    w_max: float = 0.0
-    rank: int = 0
-    s_max: float = 0.0
-    s_min: float = 0.0
-    s_min_retained: float = 0.0  # smallest singular value above the rank cut
-    rank_cut: float = 0.0  # rank_tol * s_max: singular values above it are retained
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
@@ -320,13 +317,15 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         mesh_inverse=setup.sys_inv.mesh,
         basis_inverse=setup.basis_inv,
         synthesis=syn,
-        w_min=float(sd.p_norms.min()),
-        w_max=float(sd.p_norms.max()),
-        rank=sd.rank,
-        s_max=float(sd.s[0]),
-        s_min=float(sd.s[-1]),
-        s_min_retained=float(sd.s[sd.rank - 1]) if sd.rank else 0.0,
-        rank_cut=float(sd.rank_tol * sd.s[0]),
+        spectrum={
+            "w_min": float(sd.p_norms.min()),
+            "w_max": float(sd.p_norms.max()),
+            "rank": sd.rank,
+            "s_max": float(sd.s[0]),
+            "s_min": float(sd.s[-1]),
+            "s_min_retained": float(sd.s[sd.rank - 1]) if sd.rank else 0.0,  # smallest kept
+            "rank_cut": float(sd.rank_tol * sd.s[0]),  # singular values above it are kept
+        },
     )
 
     # an overflowing residual or error norm is reported by the check below
@@ -540,7 +539,9 @@ def export_result(result: ExperimentResult, out_dir: str | Path) -> Path:
     """Write the per-run CSV files and manifest.json into out_dir.
 
     A NaN or infinite manifest number raises NullsrcError before any file
-    is written, so no non-standard JSON reaches disk.
+    is written, so no non-standard JSON reaches disk. An OSError from
+    creating out_dir or writing a file raises InvalidSpec naming the path;
+    manifest.json is written last.
     """
     basis, syn, mesh = result.basis_inverse, result.synthesis, result.mesh_inverse
     methods_manifest: dict[str, dict] = {}
@@ -563,13 +564,7 @@ def export_result(result: ExperimentResult, out_dir: str | Path) -> Path:
         "config": config_to_dict(result.config),
         "gamma": syn.gamma,
         "delta": syn.delta,
-        "w_min": result.w_min,
-        "w_max": result.w_max,
-        "rank": result.rank,
-        "s_max": result.s_max,
-        "s_min": result.s_min,
-        "s_min_retained": result.s_min_retained,
-        "rank_cut": result.rank_cut,
+        **result.spectrum,
         "data_solve": {key: value for key, value in vars(syn.data_solve).items() if value is not None},
         "methods": methods_manifest,
     }
@@ -579,19 +574,22 @@ def export_result(result: ExperimentResult, out_dir: str | Path) -> Path:
         raise NullsrcError(f"refusing to export a non-finite result: {exc}") from exc
 
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    # the cell,cx,cy fields are formatted once and shared by every cell file
-    cells = list(map(",".join, zip(map(str, range(basis.n)), *map(_text, basis.cell_centers.T))))
-    truth = coefficients_to_cell_field(basis, syn.truth_coeffs)
-    _write_csv(out / "true_source.csv", "cell,cx,cy,value", cells, _text(truth))
-    for name, outcome in result.outcomes.items():
-        if outcome.error is None:
-            values = coefficients_to_cell_field(basis, outcome.result.coeffs)
-            _write_csv(out / f"source_{name}.csv", "cell,cx,cy,value", cells, _text(values))
-    nodes = [str(int(i)) for i in mesh.boundary_nodes]
-    boundary = (*mesh.nodes[mesh.boundary_nodes].T, syn.d, syn.d_noisy)
-    _write_csv(out / "boundary.csv", "node,x,y,d,d_noisy", nodes, *map(_text, boundary))
-    (out / "manifest.json").write_text(manifest_text)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        # the cell,cx,cy fields are formatted once and shared by every cell file
+        cells = list(map(",".join, zip(map(str, range(basis.n)), *map(_text, basis.cell_centers.T))))
+        truth = coefficients_to_cell_field(basis, syn.truth_coeffs)
+        _write_csv(out / "true_source.csv", "cell,cx,cy,value", cells, _text(truth))
+        for name, outcome in result.outcomes.items():
+            if outcome.error is None:
+                values = coefficients_to_cell_field(basis, outcome.result.coeffs)
+                _write_csv(out / f"source_{name}.csv", "cell,cx,cy,value", cells, _text(values))
+        nodes = [str(int(i)) for i in mesh.boundary_nodes]
+        boundary = (*mesh.nodes[mesh.boundary_nodes].T, syn.d, syn.d_noisy)
+        _write_csv(out / "boundary.csv", "node,x,y,d,d_noisy", nodes, *map(_text, boundary))
+        (out / "manifest.json").write_text(manifest_text)
+    except OSError as exc:
+        raise InvalidSpec(f"cannot write output {out}: {exc}") from exc
     return out / "manifest.json"
 
 

@@ -201,18 +201,17 @@ def check_projector_properties(sd: SpectralData) -> CheckResult:
     )
 
 
-def run_all(quick: bool = False) -> list[CheckResult]:
-    """Execute the full property suite; quick mode uses the coarsest mesh."""
+def run_all() -> list[CheckResult]:
+    """Execute the full property suite."""
     rng = np.random.default_rng(2024)
     results = [
-        check_minimum_norm_projection(rng, trials=20 if quick else 50),
-        check_method_iii_consistency(rng, trials=5 if quick else 10),
+        check_minimum_norm_projection(rng, trials=50),
+        check_method_iii_consistency(rng, trials=10),
     ]
     # The limit-realization checks carry tolerances calibrated for the
     # canonical 8x8-cell system; finer meshes shrink the smallest retained
     # singular value and push pseudo-inverse round-off past those slacks.
-    sizes = (8,) if quick else (8, 16)
-    for cells in sizes:
+    for cells in (8, 16):
         fm, sd = crime_system(mesh_cells=cells)
         label = f" [{cells}x{cells}-cell mesh]"
         checks = [check_argmax_recovery(fm, sd), check_projector_properties(sd)]

@@ -314,7 +314,8 @@ def test_criterion_10_end_to_end_determinism(tmp_path):
 
 def test_compare_presets_finds_every_preset_byte_identical():
     # criterion 10 across processes: the script every output-preserving
-    # change is checked with runs all presets twice in fresh interpreters
+    # change is checked with runs all presets, their spectra and verify
+    # twice in fresh interpreters
     src = Path(nullsrc.__file__).resolve().parent.parent
     script = Path(__file__).resolve().parent.parent / "scripts" / "compare_presets.py"
     done = subprocess.run(
@@ -331,5 +332,5 @@ def test_compare_presets_finds_every_preset_byte_identical():
         f"{len(presets)} of {len(builtin_presets())} presets byte-identical",
     )
     assert done.returncode == 0, done.stdout + done.stderr
-    assert [line.split(":")[0] for line in presets] == sorted(builtin_presets())
+    assert [line.split(":")[0] for line in presets] == [*sorted(builtin_presets()), "verify"]
     assert "every manifest number is equal" in lines

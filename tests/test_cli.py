@@ -70,16 +70,50 @@ def test_usage_error_exits_2():
     assert main([]) == 2
 
 
-# sha256 of `nullsrc spectrum --preset P` output, recorded with numpy 2.4.6
-# and scipy 1.17.1; other builds may round the SVD differently. The digests
-# were re-recorded when build_forward_model began solving one unit column
-# per boundary node (128 here) instead of one load per control (256): that
-# sums A in another order, so the JSON moves in its last digits.
+def test_verify_has_no_quick_mode(capsys):
+    assert main(["verify", "--quick"]) == 2
+    assert "--quick" in capsys.readouterr().err
+
+
+def _file_as_out(tmp_path):
+    (tmp_path / "file").write_text("")
+    return tmp_path / "file", "file"
+
+
+def _under_a_file(tmp_path):
+    (tmp_path / "file").write_text("")
+    return tmp_path / "file" / "sub", "sub"
+
+
+def _manifest_is_a_directory(tmp_path):
+    (tmp_path / "o" / "manifest.json").mkdir(parents=True)
+    return tmp_path / "o", "manifest.json"
+
+
+@pytest.mark.parametrize("make_out", [_file_as_out, _under_a_file, _manifest_is_a_directory])
+def test_unwritable_out_exits_2_with_one_error_line(tmp_path, capsys, make_out):
+    out, named = make_out(tmp_path)
+    assert main(["preset", "ex1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: cannot write output {out}: ")
+    assert named in lines[0]
+
+
+# sha256 of `nullsrc spectrum --preset P` output without its `config` echo,
+# re-serialized with indent=2 and sorted keys, recorded with numpy 2.4.6
+# and scipy 1.17.1; other builds may round the SVD differently. The echo is
+# checked on its own, so a config-schema change leaves the digests alone.
+# ex3 and ex5a share their inversion system, so their numbers coincide.
+# The digests were re-recorded when build_forward_model began solving one
+# unit column per boundary node (128 here) instead of one load per control
+# (256): that sums A in another order, so the JSON moves in its last digits.
 # spectrum_reference.json keeps the numbers of the per-control build, and
 # the test holds the new output to them.
 SPECTRUM_SHA256 = {
-    "ex3": "e59d7e97b805f0bc06ed9996f84adf53e3a4490e1f6833ae0c1bfb2089291114",
-    "ex5a": "cc1f85efd826c770870645d10bbc93539cd2e53f9a92041c5fb453c518f7df46",
+    "ex3": "869cda34ec26155bc27677a83ebdb05be3d34bc4a65fee4fceacbfdff1447922",
+    "ex5a": "869cda34ec26155bc27677a83ebdb05be3d34bc4a65fee4fceacbfdff1447922",
 }
 SPECTRUM_REFERENCE = json.loads((Path(__file__).parent / "spectrum_reference.json").read_text())
 
@@ -108,9 +142,11 @@ def test_spectrum_builds_only_the_inversion_side(capsys, monkeypatch, preset):
     assert data["rank"] == reference["rank"]
     retained = np.array(reference["retained_singular_values"])
     np.testing.assert_allclose(data["singular_values"][: data["rank"]], retained, rtol=1e-9, atol=0)
+    assert data.pop("config") == json.loads(json.dumps(config_to_dict(builtin_presets()[preset])))
     if (np.__version__, scipy.__version__) != ("2.4.6", "1.17.1"):
         pytest.skip("output digests were recorded with numpy 2.4.6 and scipy 1.17.1")
-    assert hashlib.sha256(out.encode()).hexdigest() == SPECTRUM_SHA256[preset]
+    numbers = json.dumps(data, indent=2, sort_keys=True)
+    assert hashlib.sha256(numbers.encode()).hexdigest() == SPECTRUM_SHA256[preset]
 
 
 def test_spectrum_outputs_json(capsys):
@@ -121,8 +157,8 @@ def test_spectrum_outputs_json(capsys):
     assert all(0 < w <= 1 + 1e-12 for w in data["p_norms"])
 
 
-def test_verify_quick_passes(capsys):
-    assert main(["verify", "--quick"]) == 0
+def test_verify_passes(capsys):
+    assert main(["verify"]) == 0
     out = capsys.readouterr().out
     assert "all checks passed" in out
     assert "FAIL" not in out

@@ -17,7 +17,7 @@ from nullsrc import (
     control_load_matrix,
     project_cell_function,
 )
-from nullsrc.control_space import cell_touches_boundary, source_load
+from nullsrc.control_space import ControlBasis, cell_touches_boundary, source_load
 from nullsrc.fem import stiffness_and_mass
 
 
@@ -100,7 +100,12 @@ class TestBuildControlBasis:
         mesh = build_mesh(DomainSpec(Shape.L_SHAPE, 8, 8))
         basis = build_control_basis(mesh, 4, 4)
         assert basis.n == 12
-        assert (1.0 / basis.scale**2).sum() == pytest.approx(0.75, rel=1e-12)
+        assert basis.n / basis.scale**2 == pytest.approx(0.75, rel=1e-12)
+
+    def test_fields_are_the_grid(self):
+        assert [f.name for f in dataclasses.fields(ControlBasis)] == [
+            "scale", "grid_dims", "grid_coords", "triangle_cells"
+        ]
 
     def test_incompatible_raises(self):
         mesh = build_mesh(DomainSpec(Shape.UNIT_SQUARE, 3, 3))
@@ -121,10 +126,14 @@ class TestBuildControlBasis:
         mesh = build_mesh(DomainSpec(shape, n, n))
         basis = build_control_basis(mesh, m, m)
         old = old_control_basis(mesh, m, m)
-        # the basis keeps no rectangles: they follow from grid_coords and grid_dims
-        assert {f.name for f in dataclasses.fields(basis)} | {"cells"} == old.keys()
+        # the basis keeps no rectangles or centres: they follow from grid_coords
+        # and grid_dims, and every cell shares one scale
+        assert {f.name for f in dataclasses.fields(basis)} | {"cells", "cell_centers"} == old.keys()
+        assert type(basis.scale) is float
         for name, expected in old.items():
             got = cell_rectangles(basis) if name == "cells" else getattr(basis, name)
+            if name == "scale":
+                got = np.full(basis.n, got)
             assert np.array_equal(got, expected), name
 
     @pytest.mark.parametrize(
@@ -143,7 +152,7 @@ class TestBuildControlBasis:
         areas = mesh.triangle_areas
         gram = np.zeros((basis.n, basis.n))
         for t, cell in enumerate(basis.triangle_cells):
-            gram[cell, cell] += basis.scale[cell] ** 2 * areas[t]
+            gram[cell, cell] += basis.scale**2 * areas[t]
         np.testing.assert_allclose(gram, np.eye(basis.n), atol=1e-12)
 
     def test_row_major_cell_order(self, square8):
@@ -162,7 +171,7 @@ class TestControlLoadMatrix:
         mesh, sys, basis = square8
         # f = 1 expanded in the basis has coefficients sqrt(area)
         M_cf = control_load_matrix(basis, mesh)
-        load = M_cf @ (1.0 / basis.scale)
+        load = M_cf @ np.full(basis.n, 1.0 / basis.scale)
         np.testing.assert_allclose(load, stiffness_and_mass(mesh)[1] @ np.ones(mesh.n_nodes), atol=1e-12)
 
     def test_source_load_matches_matrix_product(self):
@@ -189,7 +198,7 @@ class TestControlLoadMatrix:
             mids = [(0.5, 0.5, 0.0), (0.0, 0.5, 0.5), (0.5, 0.0, 0.5)]
             for k in range(3):
                 lam_at_mids = [m[k] for m in mids]
-                oracle[tri[k]] += basis.scale[0] * area * np.mean(lam_at_mids)
+                oracle[tri[k]] += basis.scale * area * np.mean(lam_at_mids)
         np.testing.assert_allclose(M_cf[:, 0], oracle, atol=1e-15)
 
 

@@ -13,6 +13,7 @@ from nullsrc import ConfigError, DegenerateBasis, DomainSpec, Method, NullsrcErr
 from nullsrc.control_space import coefficients_to_cell_field
 from nullsrc.experiments import (
     ExperimentConfig,
+    ExperimentResult,
     MorozovRule,
     SigmaSpec,
     _synthesize,
@@ -222,9 +223,10 @@ class TestRunExperiment:
         fm = build_forward_model(setup.sys_inv, setup.basis_inv, setup.sys_inv.mesh)
         sd = analyze(fm, cfg.rank_tol)
         assert sd.rank < sd.s.size  # the cut falls inside the spectrum
-        assert res.s_min_retained == sd.s[sd.rank - 1]
-        assert res.s_min_retained >= cfg.rank_tol * res.s_max
-        assert res.s_min < cfg.rank_tol * res.s_max
+        spectrum = res.spectrum
+        assert spectrum["s_min_retained"] == sd.s[sd.rank - 1]
+        assert spectrum["s_min_retained"] >= cfg.rank_tol * spectrum["s_max"]
+        assert spectrum["s_min"] < cfg.rank_tol * spectrum["s_max"]
 
     # epsilon at each of the eight lowest eigenvalues of the fine pencil;
     # the fine pivot check alone let 16^2 k = 2 and 32^2 k = 2, 3 and 8
@@ -505,9 +507,9 @@ class TestExport:
     def test_manifest_contents(self, exported):
         out, res = exported
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["rank"] == res.rank
-        assert manifest["w_min"] == res.w_min
-        assert manifest["s_min_retained"] == res.s_min_retained
+        assert manifest["rank"] == res.spectrum["rank"]
+        assert manifest["w_min"] == res.spectrum["w_min"]
+        assert manifest["s_min_retained"] == res.spectrum["s_min_retained"]
         assert set(manifest["methods"]) == {"standard_tikhonov", "method_i"}
         entry = manifest["methods"]["method_i"]
         for key in (
@@ -520,6 +522,16 @@ class TestExport:
         ):
             assert key in entry
         assert manifest["config"]["name"] == "t"
+
+    def test_spectrum_is_the_manifests_diagnostics(self, exported):
+        out, res = exported
+        assert [f.name for f in fields(ExperimentResult)] == [
+            "config", "mesh_inverse", "basis_inverse", "synthesis", "spectrum", "outcomes"
+        ]
+        names = {"w_min", "w_max", "rank", "s_max", "s_min", "s_min_retained", "rank_cut"}
+        assert res.spectrum.keys() == names
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert {key: manifest[key] for key in names} == res.spectrum
 
     def test_export_deterministic(self, tmp_path):
         cfg = crime_cfg(noise_kappa=0.1, seed=5)
@@ -559,7 +571,7 @@ class TestExport:
 
     def test_non_finite_result_is_not_written(self, tmp_path):
         res = run_experiment(crime_cfg())
-        res.s_min = float("nan")
+        res.spectrum["s_min"] = float("nan")
         with pytest.raises(NullsrcError):
             export_result(res, tmp_path / "o")
         assert not (tmp_path / "o").exists()

@@ -46,7 +46,7 @@ class TestForwardModel:
     def test_constant_source_maps_to_one(self, crime8):
         _, sys, basis, fm, _ = crime8
         eps = sys.epsilon
-        c = eps / basis.scale  # coefficients of f = eps: eps * sqrt(area)
+        c = np.full(basis.n, eps / basis.scale)  # coefficients of f = eps: eps * sqrt(area)
         np.testing.assert_allclose(fm.A @ c, 1.0, atol=1e-8)
 
     def test_zero_coefficients(self, crime8):
