@@ -540,8 +540,11 @@ def export_result(result: ExperimentResult, out_dir: str | Path) -> Path:
 
     A NaN or infinite manifest number raises NullsrcError before any file
     is written, so no non-standard JSON reaches disk. An OSError from
-    creating out_dir or writing a file raises InvalidSpec naming the path;
-    manifest.json is written last.
+    creating out_dir or writing a file raises InvalidSpec naming the path.
+    A manifest vouches for exactly one complete run: the files an earlier
+    run left in out_dir are removed first, manifest.json before the CSVs
+    (true_source.csv, boundary.csv, source_*.csv), and manifest.json is
+    written last. Other files in out_dir are left alone.
     """
     basis, syn, mesh = result.basis_inverse, result.synthesis, result.mesh_inverse
     methods_manifest: dict[str, dict] = {}
@@ -576,6 +579,10 @@ def export_result(result: ExperimentResult, out_dir: str | Path) -> Path:
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
+        # the earlier run's manifest goes first, so none outlives its files
+        earlier = (out / "manifest.json", out / "true_source.csv", out / "boundary.csv")
+        for path in (*earlier, *out.glob("source_*.csv")):
+            path.unlink(missing_ok=True)
         # the cell,cx,cy fields are formatted once and shared by every cell file
         cells = list(map(",".join, zip(map(str, range(basis.n)), *map(_text, basis.cell_centers.T))))
         truth = coefficients_to_cell_field(basis, syn.truth_coeffs)

@@ -159,7 +159,10 @@ def _element_matrices(mesh: Mesh, sigma: CoefficientField | None) -> tuple[np.nd
     # P1 gradient coefficients: grad(lambda_i) = (b_i, c_i) / (2*area)
     b = np.stack([y[1] - y[2], y[2] - y[0], y[0] - y[1]])
     c = np.stack([x[2] - x[1], x[0] - x[2], x[1] - x[0]])
-    ke = (k1 * b[:, None] * b[None, :] + k2 * c[:, None] * c[None, :]) / (4.0 * area)
+    # (k1 b_i b_j + k2 c_i c_j) / (4 area), summed and scaled in place
+    ke = k1 * b[:, None] * b[None, :]
+    ke += k2 * c[:, None] * c[None, :]
+    ke /= 4.0 * area
     return ke, area * _MASS_REF[:, :, None]
 
 
@@ -167,10 +170,13 @@ def _global(mesh: Mesh, element: np.ndarray) -> scipy.sparse.csr_matrix:
     """Sum (3, 3, n_tri) element matrices into one n_nodes x n_nodes CSR matrix.
 
     Entries enter in triangle-major order, which fixes the order in which
-    the conversion sums each node pair's contributions.
+    the conversion sums each node pair's contributions. The row and column
+    indices are int32, the dtype scipy converts them to anyway, so the
+    conversion makes no copy of them.
     """
-    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
-    cols = np.tile(mesh.triangles, (1, 3)).ravel()
+    triangles = mesh.triangles.astype(np.int32)
+    rows = np.repeat(triangles, 3, axis=1).ravel()
+    cols = np.tile(triangles, (1, 3)).ravel()
     n = mesh.n_nodes
     data = element.transpose(2, 0, 1).ravel()
     return scipy.sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
@@ -191,8 +197,10 @@ def stiffness_and_mass(
 def assemble(mesh: Mesh, epsilon: float, sigma: CoefficientField | None = None) -> FemSystem:
     """Assemble the state matrix.
 
-    Each triangle's stiffness and epsilon-scaled mass are summed into one
-    element matrix, and S is built from those by one sparse conversion.
+    Each triangle's epsilon-scaled mass is added in place into its
+    stiffness, and the mass array is dropped before S is built from the
+    sums by one sparse conversion. The sums and their triangle-major order
+    are those of ke + epsilon * me, so S has the same bits.
 
     Parameters
     ----------
@@ -208,7 +216,10 @@ def assemble(mesh: Mesh, epsilon: float, sigma: CoefficientField | None = None) 
         If any per-triangle kappa is not strictly positive.
     """
     ke, me = _element_matrices(mesh, sigma)
-    return FemSystem(mesh, _global(mesh, ke + epsilon * me), epsilon)
+    me *= epsilon
+    ke += me
+    del me
+    return FemSystem(mesh, _global(mesh, ke), epsilon)
 
 
 class StateSolver:

@@ -70,13 +70,12 @@ def _residual(c: np.ndarray, s: np.ndarray, alpha: float, floor: float, rank: in
     return math.hypot(np.linalg.norm(g * c), floor)
 
 
-def _filter(svd: Svd, b: np.ndarray, alpha: float, rank: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Minimizer x of |M x - b|^2 + alpha |x|^2 for M = U diag(s) V^T, and c = U^T b;
-    b is (m,) or (m, k), solved column by column, and alpha = 0 is the pseudo-inverse
+def _filter(svd: Svd, c: np.ndarray, alpha: float, rank: int | None = None) -> np.ndarray:
+    """Minimizer x of |M x - b|^2 + alpha |x|^2 for M = U diag(s) V^T, from c = U^T b;
+    c is (r,) or (r, k), solved column by column, and alpha = 0 is the pseudo-inverse
     over the leading `rank` triplets."""
-    U, s, V = svd
-    c = U.T @ b
-    return V @ (_gains(s, alpha, rank) * c.T).T, c  # c.T: the gains scale the rows of a 2-D c
+    _, s, V = svd
+    return V @ (_gains(s, alpha, rank) * c.T).T  # c.T: the gains scale the rows of a 2-D c
 
 
 def tikhonov(
@@ -95,7 +94,8 @@ def tikhonov(
         raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
     M = np.atleast_2d(np.asarray(A_hat, dtype=np.float64))
     w = np.ones(M.shape[1]) if weights is None else np.asarray(weights, dtype=np.float64)
-    return _filter(thin_svd(M / w), np.asarray(b_hat, dtype=np.float64), alpha)[0] / w
+    svd = thin_svd(M / w)
+    return _filter(svd, svd[0].T @ np.asarray(b_hat, dtype=np.float64), alpha) / w
 
 
 def min_norm_lsq(
@@ -104,7 +104,8 @@ def min_norm_lsq(
     """Minimum-norm least squares by the truncated-SVD pseudo-inverse, from an SVD of its
     own (no SpectralData); one SVD serves every column of a 2-D b_hat."""
     svd = thin_svd(np.asarray(A_hat, dtype=np.float64))
-    return _filter(svd, np.asarray(b_hat, dtype=np.float64), 0.0, numerical_rank(svd[1], rank_tol_rel))[0]
+    c = svd[0].T @ np.asarray(b_hat, dtype=np.float64)
+    return _filter(svd, c, 0.0, numerical_rank(svd[1], rank_tol_rel))
 
 
 def _operator_svd(sd: SpectralData, method: Method) -> Svd:
@@ -112,20 +113,21 @@ def _operator_svd(sd: SpectralData, method: Method) -> Svd:
     return sd.weighted_svd if method in (Method.METHOD_II, Method.METHOD_III) else (sd.U, sd.s, sd.V)
 
 
-def _method_filter(sd: SpectralData, b: np.ndarray, alpha: float, method: Method) -> tuple[np.ndarray, np.ndarray]:
-    """method_coeffs for an array b, plus c = U^T b on the method's operator."""
-    x, c = _filter(_operator_svd(sd, method), b, 0.0 if method is Method.MIN_NORM else alpha, sd.rank)
+def _method_filter(sd: SpectralData, c: np.ndarray, alpha: float, method: Method) -> np.ndarray:
+    """method_coeffs from c = U^T b on the method's operator."""
+    x = _filter(_operator_svd(sd, method), c, 0.0 if method is Method.MIN_NORM else alpha, sd.rank)
     if method in (Method.METHOD_I, Method.METHOD_III):
         x = (x.T / sd.p_norms).T  # x.T: the weights scale the rows of a 2-D x
     if not np.isfinite(x).all():
         raise IllConditioned("solution coefficients are not all finite")
-    return x, c
+    return x
 
 
 def method_coeffs(sd: SpectralData, b_hat: np.ndarray, alpha: float, method: Method) -> np.ndarray:
     """One method's coefficients for b_hat of shape (m,) or (m, k), column by column,
     from the SVDs on sd; alpha = 0 (always, for min_norm) is the truncated-SVD limit."""
-    return _method_filter(sd, np.asarray(b_hat, dtype=np.float64), alpha, method)[0]
+    U = _operator_svd(sd, method)[0]
+    return _method_filter(sd, U.T @ np.asarray(b_hat, dtype=np.float64), alpha, method)
 
 
 def solve_method(
@@ -136,10 +138,16 @@ def solve_method(
         alpha = 0.0
     elif not 0 < alpha < math.inf:
         raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
+    U, _, _ = _operator_svd(sd, method)
     b = np.asarray(b_hat, dtype=np.float64)
-    x, c = _method_filter(sd, b, alpha, method)
-    U, s, _ = _operator_svd(sd, method)
-    residual = _residual(c, s, alpha, np.linalg.norm(b - U @ c), sd.rank)
+    c = U.T @ b
+    return _solved(sd, c, np.linalg.norm(b - U @ c), alpha, method)
+
+
+def _solved(sd: SpectralData, c: np.ndarray, floor: float, alpha: float, method: Method) -> SolveResult:
+    """solve_method from c = U^T b and floor = |b - U c| on the method's operator."""
+    x = _method_filter(sd, c, alpha, method)
+    residual = _residual(c, _operator_svd(sd, method)[1], alpha, floor, sd.rank)
     ties = np.flatnonzero(x >= x.max() - ARGMAX_TIE_TOL).tolist()
     return SolveResult(x, alpha, residual, ties[0], tuple(ties))
 
@@ -156,9 +164,10 @@ def morozov(
     """Pick alpha so the method's residual matches the noise norm gamma.
 
     Bisects on log(alpha) using the monotonicity of the residual. The
-    search runs on the stored coefficients c = U^T b of the method's
-    operator, where each residual is a scalar, and makes one final
-    solve_method call at the chosen alpha. Raises GammaTooSmall /
+    search runs on the coefficients c = U^T b of the method's operator and
+    the floor |b - U c|, where each residual is a scalar, and the one final
+    solve at the chosen alpha reuses that c and floor, so it equals
+    solve_method at that alpha bit for bit. Raises GammaTooSmall /
     GammaTooLarge when gamma falls outside the residual range attainable
     on alpha_range.
     """
@@ -180,7 +189,7 @@ def morozov(
         return abs(residual - gamma) <= rel_tol * gamma
 
     def solved(alpha: float) -> tuple[float, SolveResult]:
-        return alpha, solve_method(model, sd, b_hat, alpha, method)
+        return alpha, _solved(sd, c, floor, alpha, method)
 
     r_lo = _residual(c, s, lo, floor)
     if met(r_lo):

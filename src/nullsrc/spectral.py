@@ -21,6 +21,7 @@ from .mesh import Mesh
 
 RANK_TOL_REL = 1e-12
 DEGENERATE_TOL = 1e-8
+SOLVE_BLOCK = 32  # columns per forward-build solve; see build_forward_model
 
 Svd = tuple[np.ndarray, np.ndarray, np.ndarray]  # thin SVD (U, s, V), V as columns
 
@@ -75,19 +76,26 @@ def build_forward_model(sys: FemSystem, basis: ControlBasis, mesh: Mesh) -> Forw
     A = E_b^T S^-1 M_cf, where E_b holds one unit column per boundary
     node. S = K_sigma + epsilon*M is symmetric, so A = (M_cf^T S^-1 E_b)^T
     too: with fewer boundary nodes than controls, the factor solves the
-    unit columns and M_cf^T maps the solutions to A; otherwise it solves
-    the dense basis loads and the trace keeps their boundary rows. The
-    factor and R are the ones cached on sys, so data synthesis on the
-    same system reuses them instead of factoring again. mesh is sys.mesh.
+    unit columns and M_cf^T maps the solutions to rows of A; otherwise it
+    solves the dense basis loads and the trace keeps their boundary rows
+    as columns of A. Either side is solved SOLVE_BLOCK columns at a time
+    into a preallocated A, so the dense right-hand side and solution never
+    hold more than SOLVE_BLOCK columns. The factor and R are the ones
+    cached on sys, so data synthesis on the same system reuses them
+    instead of factoring again. mesh is sys.mesh.
     """
     M_cf = control_load_matrix(basis, mesh)
     bnodes = sys.mesh.boundary_nodes
+    A = np.empty((len(bnodes), basis.n))
     if len(bnodes) < basis.n:
-        E_b = np.zeros((sys.n_nodes, len(bnodes)), order="F")
-        E_b[bnodes, np.arange(len(bnodes))] = 1.0
-        A = (M_cf.T @ sys.solver.solve(E_b)).T
+        for j in range(0, len(bnodes), SOLVE_BLOCK):
+            block = bnodes[j : j + SOLVE_BLOCK]
+            E_b = np.zeros((sys.n_nodes, len(block)), order="F")
+            E_b[block, np.arange(len(block))] = 1.0
+            A[j : j + len(block)] = (M_cf.T @ sys.solver.solve(E_b)).T
     else:
-        A = sys.solver.solve(M_cf.toarray())[bnodes]
+        for j in range(0, basis.n, SOLVE_BLOCK):
+            A[:, j : j + SOLVE_BLOCK] = sys.solver.solve(M_cf[:, j : j + SOLVE_BLOCK].toarray())[bnodes]
     return ForwardModel(A=A, R=sys.R, A_hat=sys.R @ A)
 
 

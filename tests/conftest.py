@@ -1,6 +1,7 @@
 """Fixtures shared by several test modules."""
 
 import functools
+import tracemalloc
 
 import pytest
 import scipy.linalg
@@ -33,3 +34,22 @@ def pencil_eigenvalues():
         return scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)
 
     return eigenvalues
+
+
+@pytest.fixture
+def transient_mb():
+    """transient_mb(f) calls f() and returns its result and the peak of the
+    memory Python allocated during the call (numpy buffers included), in MB
+    above what the call started with (tracemalloc)."""
+
+    def measure(f):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = f()
+            return result, (tracemalloc.get_traced_memory()[1] - start) / 1e6
+        finally:
+            tracemalloc.stop()
+
+    return measure

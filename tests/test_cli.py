@@ -101,19 +101,50 @@ def test_unwritable_out_exits_2_with_one_error_line(tmp_path, capsys, make_out):
     assert named in lines[0]
 
 
+def test_rerun_into_an_out_dir_leaves_only_its_own_files(tmp_path):
+    out = tmp_path / "o"
+    assert main(["preset", "ex1", "--out", str(out)]) == 0
+    (out / "notes.txt").write_text("kept")
+    assert main(["preset", "ex1", "--out", str(out), "--override", "methods=II"]) == 0
+    assert sorted(path.name for path in out.glob("source_*.csv")) == ["source_method_ii.csv"]
+    assert list(json.loads((out / "manifest.json").read_text())["methods"]) == ["method_ii"]
+    assert (out / "notes.txt").read_text() == "kept"
+
+
+def test_export_failing_midway_leaves_no_manifest(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "o"
+    assert main(["preset", "ex1", "--out", str(out)]) == 0
+    write_csv = nullsrc.experiments._write_csv
+
+    def full_disk(path, *args):
+        if path.name == "boundary.csv":
+            raise OSError(28, "No space left on device", str(path))
+        write_csv(path, *args)
+
+    monkeypatch.setattr(nullsrc.experiments, "_write_csv", full_disk)
+    assert main(["preset", "ex1", "--out", str(out)]) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+    assert (out / "true_source.csv").exists() and not (out / "boundary.csv").exists()
+
+
 # sha256 of `nullsrc spectrum --preset P` output without its `config` echo,
 # re-serialized with indent=2 and sorted keys, recorded with numpy 2.4.6
 # and scipy 1.17.1; other builds may round the SVD differently. The echo is
 # checked on its own, so a config-schema change leaves the digests alone.
-# ex3 and ex5a share their inversion system, so their numbers coincide.
-# The digests were re-recorded when build_forward_model began solving one
+# The three presets have distinct inversion systems: ex3 the identity sigma
+# at epsilon = 1e-3 (ex5a, ex5b, ex6a and ex6b share it), ex4 the affine
+# sigma, whose spectrum moves with the last bits of S, and ex7b epsilon < 0.
+# The ex3 digest was re-recorded when build_forward_model began solving one
 # unit column per boundary node (128 here) instead of one load per control
 # (256): that sums A in another order, so the JSON moves in its last digits.
-# spectrum_reference.json keeps the numbers of the per-control build, and
-# the test holds the new output to them.
+# spectrum_reference.json keeps ex3's numbers of the per-control build, and
+# the test holds the new output to them; ex4 and ex7b were recorded from
+# the boundary-node build before it solved in column blocks.
 SPECTRUM_SHA256 = {
     "ex3": "869cda34ec26155bc27677a83ebdb05be3d34bc4a65fee4fceacbfdff1447922",
-    "ex5a": "869cda34ec26155bc27677a83ebdb05be3d34bc4a65fee4fceacbfdff1447922",
+    "ex4": "752ef9bfa0e9099cea28c3db27eb8acd630ac35bcedb826b6758e0824345e969",
+    "ex7b": "9c0149601821aa7dc4b90c9a5009cc8cc75f6d43817818514d008c3fc44ed658",
 }
 SPECTRUM_REFERENCE = json.loads((Path(__file__).parent / "spectrum_reference.json").read_text())
 

@@ -102,8 +102,9 @@ class TestAssemble:
         assert sys.epsilon == 1e-3
 
 
-def old_stiffness_and_mass(mesh, sigma):
-    """K and M as assemble built them before it summed elements into S directly."""
+def old_element_matrices(mesh, sigma):
+    """Triangle-major (n_tri, 3, 3) element stiffness and mass and their int64
+    COO indices, as assemble computed them before it summed in place."""
     p = mesh.nodes[mesh.triangles]
     x, y = p[..., 0], p[..., 1]
     area = 0.5 * (
@@ -120,6 +121,12 @@ def old_stiffness_and_mass(mesh, sigma):
     me = area[:, None, None] * ((np.ones((3, 3)) + np.eye(3)) / 12.0)[None, :, :]
     rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
     cols = np.tile(mesh.triangles, (1, 3)).ravel()
+    return ke, me, rows, cols
+
+
+def old_stiffness_and_mass(mesh, sigma):
+    """K and M as assemble built them before it summed elements into S directly."""
+    ke, me, rows, cols = old_element_matrices(mesh, sigma)
     n = mesh.n_nodes
     K = scipy.sparse.coo_matrix((ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
     M = scipy.sparse.coo_matrix((me.ravel(), (rows, cols)), shape=(n, n)).tocsr()
@@ -163,6 +170,28 @@ class TestElementSums:
         assert np.array_equal(S_sorted.indices, ref.indices)
         scale = np.abs(ref.data).max()
         assert np.abs(S_sorted.data - ref.data).max() <= 1e-14 * scale
+
+    def test_state_matrix_keeps_the_bits_of_the_element_sums(self, shape, n, epsilon, affine):
+        # in-place sums and int32 indices: S equal, entry for entry, to the
+        # conversion of ke + epsilon * me with int64 indices
+        mesh, sigma = self.problem(shape, n, affine)
+        S = assemble(mesh, epsilon, sigma).S
+        ke, me, rows, cols = old_element_matrices(mesh, sigma or CoefficientField.identity(mesh))
+        ref = scipy.sparse.csr_matrix(((ke + epsilon * me).ravel(), (rows, cols)), shape=S.shape)
+        assert np.array_equal(S.indptr, ref.indptr) and np.array_equal(S.indices, ref.indices)
+        assert S.data.tobytes() == ref.data.tobytes()
+
+
+def test_fine_assembly_transient_memory(transient_mb):
+    # ex5a's 64 x 64-cell fine mesh (4,225 nodes). Summed in place, with int32
+    # indices scipy keeps as they are, assemble peaks at about 3.1 MB; with a
+    # temporary per sum and int64 indices it took 5.4 MB.
+    cfg = builtin_presets()["ex5a"]
+    mesh = refine_uniform(build_setup(cfg).sys_inv.mesh)
+    sigma = cfg.sigma.materialize(mesh)
+    sys, peak = transient_mb(lambda: assemble(mesh, cfg.epsilon, sigma))
+    assert sys.n_nodes == 4225
+    assert peak <= 3.5
 
 
 def loop_sigma(mesh, spec):

@@ -18,7 +18,8 @@ from nullsrc import (
     spectral_data_from_matrix,
     tikhonov,
 )
-from nullsrc.spectral import ForwardModel, thin_svd
+from nullsrc.experiments import build_setup, builtin_presets, generate_data
+from nullsrc.spectral import ForwardModel, analyze, build_forward_model, thin_svd
 from nullsrc.verify import crime_system, norm_inequality_violations, random_rank_deficient
 
 
@@ -485,13 +486,15 @@ class TestMorozovScalarSearch:
             assert morozov(fm, sd, b, gamma, method)[0] == alpha
 
     def test_one_solve_per_search(self, morozov_cases, monkeypatch):
+        # every solve, single or batched, is one _filter call
         calls = []
+        solve = nullsrc.solvers._filter
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return solve_method(*args, **kwargs)
+            return solve(*args, **kwargs)
 
-        monkeypatch.setattr(nullsrc.solvers, "solve_method", counted)
+        monkeypatch.setattr(nullsrc.solvers, "_filter", counted)
         searches = 0
         for case in morozov_cases:
             del calls[:]
@@ -499,6 +502,27 @@ class TestMorozovScalarSearch:
                 assert len(calls) == 1
                 searches += 1
         assert searches >= len(morozov_cases) // 2
+
+    @pytest.fixture(scope="class")
+    def ex6b(self):
+        cfg = builtin_presets()["ex6b"]
+        _, d_noisy, gamma = generate_data(cfg)
+        setup = build_setup(cfg)
+        fm = build_forward_model(setup.sys_inv, setup.basis_inv, setup.sys_inv.mesh)
+        return cfg, fm, analyze(fm, cfg.rank_tol), fm.R @ d_noisy, gamma
+
+    @pytest.mark.parametrize("method", [Method.METHOD_II, Method.METHOD_III])
+    def test_final_solve_is_solve_method_at_the_chosen_alpha(self, ex6b, method):
+        # the search's c = U^T b and floor serve its final solve: no bit moves
+        cfg, fm, sd, b_hat, gamma = ex6b
+        rule = cfg.alpha
+        alpha, got = morozov(
+            fm, sd, b_hat, gamma, method, alpha_range=(rule.alpha_min, rule.alpha_max), rel_tol=rule.rel_tol
+        )
+        expected = solve_method(fm, sd, b_hat, alpha, method)
+        assert got.coeffs.tobytes() == expected.coeffs.tobytes()
+        assert (got.alpha.hex(), got.residual.hex()) == (expected.alpha.hex(), expected.residual.hex())
+        assert (got.argmax_cell, got.argmax_tieset) == (expected.argmax_cell, expected.argmax_tieset)
 
 
 class TestNonFiniteAlpha:

@@ -19,7 +19,7 @@ from nullsrc import (
 )
 from nullsrc.control_space import control_load_matrix
 from nullsrc.experiments import build_setup, builtin_presets
-from nullsrc.spectral import RANK_TOL_REL, numerical_rank
+from nullsrc.spectral import RANK_TOL_REL, SOLVE_BLOCK, numerical_rank
 from nullsrc.verify import random_rank_deficient
 
 
@@ -109,7 +109,8 @@ class TestForwardBuild:
         mesh, sys, basis, n_boundary, n_controls = case
         assert (len(sys.mesh.boundary_nodes), basis.n) == (n_boundary, n_controls)
         A = build_forward_model(sys, basis, mesh).A
-        assert solve_cols == [min(n_boundary, n_controls)]
+        assert sum(solve_cols) == min(n_boundary, n_controls)
+        assert max(solve_cols) <= SOLVE_BLOCK
         M_cf = control_load_matrix(basis, mesh).toarray()
         # the same factor on every control load: equal up to rounding
         per_control = sys.solver.solve(M_cf)[sys.mesh.boundary_nodes]
@@ -129,7 +130,18 @@ class TestForwardBuild:
     def test_preset_build_solves_the_smaller_side(self, solve_cols, preset, cols):
         setup = build_setup(builtin_presets()[preset])
         build_forward_model(setup.sys_inv, setup.basis_inv, setup.sys_inv.mesh)
-        assert solve_cols == [cols]
+        assert sum(solve_cols) == cols
+        assert max(solve_cols) <= SOLVE_BLOCK
+
+    def test_preset_build_transient_memory(self, transient_mb):
+        # ex5a's inversion system: 1,089 nodes, 128 boundary nodes. The factor
+        # and R are made first and stay on the system. Blocks of SOLVE_BLOCK
+        # columns peak at about 1.2 MB; one 128-column solve took 3.6 MB.
+        setup = build_setup(builtin_presets()["ex5a"])
+        sys = setup.sys_inv
+        sys.solver, sys.R
+        _, peak = transient_mb(lambda: build_forward_model(sys, setup.basis_inv, sys.mesh))
+        assert peak <= 1.5
 
 
 class TestAnalyze:
