@@ -10,13 +10,16 @@ Each run is `run_experiment` on one preset, ex5a (epsilon > 0) or ex7b
 mesh), in a fresh Python process whose OpenBLAS pools are capped at one
 thread. The process first runs the preset at the smallest rung once,
 untimed, so first-call costs stay out of the timing, then times one run
-and reports it with the peak RSS of the process. On every rung and for
-each preset the two trees' processes alternate, and which tree goes first
-alternates from pair to pair, so a machine that drifts in speed affects
-both alike. Every run is stored, with the median wall time and peak RSS
-per rung and preset and the number of pairs in which the tree was the
-faster of the two, under the tree's label, together with the core count
-and the Python, numpy and scipy versions.
+and reports it with the peak RSS of the process and the run's outputs:
+each method's `l2_error`, argmax cell and the SHA-256 of its
+coefficients' bytes. On every rung and for each preset the two trees'
+processes alternate, and which tree goes first alternates from pair to
+pair, so a machine that drifts in speed affects both alike. Every run is
+stored, with the median wall time and peak RSS per rung and preset and
+the number of pairs in which the tree was the faster of the two, under
+the tree's label, together with the core count and the Python, numpy
+and scipy versions. Each rung also holds the tree's outputs and
+`outputs_equal`: whether every run of both trees gave those same outputs.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ RUNGS = ((64, 10), (128, 10), (256, 6), (512, 6))  # (fine cells per side, runs 
 PRESETS = ("ex5a", "ex7b")
 
 CHILD = """
-import json, resource, sys, time
+import hashlib, json, resource, sys, time
 from dataclasses import replace
 import numpy, scipy
 from nullsrc import DomainSpec, Shape
@@ -44,10 +47,20 @@ preset, warm, n = builtin_presets()[sys.argv[1]], int(sys.argv[2]), int(sys.argv
 run_experiment(replace(preset, domain=DomainSpec(Shape.UNIT_SQUARE, warm, warm)))
 cfg = replace(preset, domain=DomainSpec(Shape.UNIT_SQUARE, n, n))
 start = time.perf_counter()
-run_experiment(cfg)
+result = run_experiment(cfg)
+wall_s = time.perf_counter() - start
+outputs = {
+    name: {"error": outcome.error} if outcome.result is None else {
+        "l2_error": outcome.l2_error,
+        "argmax_cell": outcome.result.argmax_cell,
+        "coeffs_sha256": hashlib.sha256(outcome.result.coeffs.tobytes()).hexdigest(),
+    }
+    for name, outcome in result.outcomes.items()
+}
 print(json.dumps({
-    "wall_s": time.perf_counter() - start,
+    "wall_s": wall_s,
     "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    "outputs": outputs,
     "numpy": numpy.__version__,
     "scipy": scipy.__version__,
 }))
@@ -66,6 +79,7 @@ def run_once(src: Path, preset: str, cells: int) -> dict:
 def summarize(preset: str, cells: int, runs_of: list[dict], other: list[dict]) -> dict:
     wall = [s["wall_s"] for s in runs_of]
     rss = [s["peak_rss_mb"] for s in runs_of]
+    outputs = runs_of[0]["outputs"]
     return {
         "preset": preset,
         "fine_cells": cells,
@@ -74,6 +88,8 @@ def summarize(preset: str, cells: int, runs_of: list[dict], other: list[dict]) -
         "pairs_won": sum(w < s["wall_s"] for w, s in zip(wall, other, strict=True)),
         "runs_s": wall,
         "peak_rss_mb": rss,
+        "outputs_equal": all(s["outputs"] == outputs for s in runs_of + other),
+        "outputs": outputs,
     }
 
 
@@ -108,13 +124,16 @@ def main(argv: list[str] | None = None) -> int:
                 rung = summarize(preset, cells, samples[label], samples[other])
                 print(f"{label} {preset} {cells}x{cells}: median {rung['wall_s_median']:.3f} s, "
                       f"{rung['peak_rss_mb_median']:.0f} MB over {runs} runs, faster in "
-                      f"{rung['pairs_won']} of {runs} pairs", file=sys.stderr)
+                      f"{rung['pairs_won']} of {runs} pairs; outputs "
+                      f"{'equal' if rung['outputs_equal'] else 'DIFFER'}", file=sys.stderr)
                 rungs[label].append(rung)
 
     data = {
         "benchmark": "nullsrc run_experiment(ex5a, ex7b) with an n x n-cell fine mesh, one timed "
                      "run per fresh process after an untimed 64x64 warm-up, one BLAS thread; the "
-                     "ladders' processes alternate on every rung and preset",
+                     "ladders' processes alternate on every rung and preset; outputs_equal: every "
+                     "run of both trees gave each method's l2_error, argmax cell and coefficient "
+                     "SHA-256 as stored in outputs",
         "environment": {
             "cpu_count": os.cpu_count(),
             "machine": platform.machine(),

@@ -89,7 +89,8 @@ class SigmaSpec:
         x, y = mesh.nodes[:, 0][mesh.triangles.T], mesh.nodes[:, 1][mesh.triangles.T]
         cx, cy = (x[0] + x[1] + x[2]) / 3.0, (y[0] + y[1] + y[2]) / 3.0
         (a0, ax, ay), (b0, bx, by) = self.kappa1, self.kappa2
-        return CoefficientField(a0 + ax * cx + ay * cy, b0 + bx * cx + by * cy)
+        with np.errstate(over="ignore"):  # assembly rejects a kappa that overflows
+            return CoefficientField(a0 + ax * cx + ay * cy, b0 + bx * cx + by * cy)
 
 
 @dataclass(frozen=True)
@@ -241,13 +242,20 @@ def _synthesize(cfg: ExperimentConfig, setup: Setup) -> Synthesis:
     Outside the inverse crime the forward mesh is refine_uniform of the
     inversion mesh; it, its system and its basis are built here and
     dropped on return, so a run never holds the fine and coarse sides
-    together past this point.
+    together past this point. When the forward and inverse control dims
+    are equal, the forward basis is the inversion basis, on the fine mesh
+    with each coarse triangle's cell given to its four children.
     """
     sys, coarse = setup.sys_inv, None
     if not cfg.inverse_crime:
         mesh = refine_uniform(setup.sys_inv.mesh)  # coarse nodes keep their indices
         sys, coarse = assemble(mesh, cfg.epsilon, cfg.sigma.materialize(mesh)), setup.sys_inv
-    basis = build_control_basis(sys.mesh, *cfg.control_dims_forward)
+    if cfg.control_dims_forward != cfg.control_dims_inverse:
+        basis = build_control_basis(sys.mesh, *cfg.control_dims_forward)
+    elif coarse is None:
+        basis = setup.basis_inv
+    else:  # refine_uniform turns coarse triangle t into fine triangles 4t ... 4t+3
+        basis = replace(setup.basis_inv, triangle_cells=np.repeat(setup.basis_inv.triangle_cells, 4))
     a = _true_coefficients(cfg, basis)
     with np.errstate(over="ignore", invalid="ignore"):  # the check below reports overflow
         load = source_load(basis, sys.mesh, a)

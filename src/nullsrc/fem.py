@@ -134,12 +134,17 @@ class FemSystem:
 _MASS_REF = (np.ones((3, 3)) + np.eye(3)) / 12.0
 
 
-def _element_matrices(mesh: Mesh, sigma: CoefficientField | None) -> tuple[np.ndarray, np.ndarray]:
-    """Per-triangle stiffness and mass matrices, each (3, 3, n_tri): entry
-    [i, j, t] couples local vertices i and j of triangle t.
+def _element_matrices(
+    mesh: Mesh, sigma: CoefficientField | None, epsilon: float | None = None
+) -> np.ndarray:
+    """Per-triangle stiffness matrices, triangle-major (n_tri, 3, 3): entry
+    [t, i, j] couples local vertices i and j of triangle t. Unless epsilon
+    is None, each entry also gets its epsilon-scaled mass, (area * M_ij) *
+    epsilon, added after the stiffness is complete.
 
-    Raises NonPositiveCoefficient if any per-triangle kappa is not
-    strictly positive or the arrays do not have one value per triangle.
+    Raises NonPositiveCoefficient if any per-triangle kappa is not a
+    strictly positive finite number or the arrays do not have one value per
+    triangle.
     """
     if sigma is None:
         sigma = CoefficientField.identity(mesh)
@@ -150,8 +155,10 @@ def _element_matrices(mesh: Mesh, sigma: CoefficientField | None) -> tuple[np.nd
             f"coefficient arrays must have one value per triangle "
             f"({mesh.n_triangles}), got {k1.shape} and {k2.shape}"
         )
-    if np.any(k1 <= 0) or np.any(k2 <= 0):
-        raise NonPositiveCoefficient("kappa1 and kappa2 must be positive on every triangle")
+    if not (np.all((k1 > 0) & (k1 < np.inf)) and np.all((k2 > 0) & (k2 < np.inf))):
+        raise NonPositiveCoefficient(
+            "kappa1 and kappa2 must be positive and finite on every triangle"
+        )
 
     # vertex-major (3, n_tri) layouts keep every array operation n_tri long
     x, y = mesh.nodes[:, 0][mesh.triangles.T], mesh.nodes[:, 1][mesh.triangles.T]
@@ -159,27 +166,48 @@ def _element_matrices(mesh: Mesh, sigma: CoefficientField | None) -> tuple[np.nd
     # P1 gradient coefficients: grad(lambda_i) = (b_i, c_i) / (2*area)
     b = np.stack([y[1] - y[2], y[2] - y[0], y[0] - y[1]])
     c = np.stack([x[2] - x[1], x[0] - x[2], x[1] - x[0]])
-    # (k1 b_i b_j + k2 c_i c_j) / (4 area), summed and scaled in place
-    ke = k1 * b[:, None] * b[None, :]
-    ke += k2 * c[:, None] * c[None, :]
-    ke /= 4.0 * area
-    return ke, area * _MASS_REF[:, :, None]
+    del x, y
+    area4 = 4.0 * area
+    if epsilon is not None:  # mass[i == j]: the off-diagonal and diagonal entries
+        mass = ((area * _MASS_REF[0, 1]) * epsilon, (area * _MASS_REF[0, 0]) * epsilon)
+    # entry by entry, (k1 b_i b_j + k2 c_i c_j) / (4 area) + (area M_ij) epsilon,
+    # summed in contiguous buffers and stored once into the strided element array
+    ke = np.empty((mesh.n_triangles, 3, 3))
+    entry, term = np.empty(mesh.n_triangles), np.empty(mesh.n_triangles)
+    for i in range(3):
+        kb, kc = k1 * b[i], k2 * c[i]
+        for j in range(3):
+            np.multiply(kb, b[j], out=entry)
+            entry += np.multiply(kc, c[j], out=term)
+            entry /= area4
+            if epsilon is not None:
+                entry += mass[i == j]
+            ke[:, i, j] = entry
+    return ke
 
 
 def _global(mesh: Mesh, element: np.ndarray) -> scipy.sparse.csr_matrix:
-    """Sum (3, 3, n_tri) element matrices into one n_nodes x n_nodes CSR matrix.
+    """Sum triangle-major (n_tri, 3, 3) element matrices into one CSR matrix.
 
-    Entries enter in triangle-major order, which fixes the order in which
-    the conversion sums each node pair's contributions. The row and column
-    indices are int32, the dtype scipy converts them to anyway, so the
-    conversion makes no copy of them.
+    Row (t, i) of the element array, node triangles[t, i]'s three entries,
+    goes to that node's row of the matrix: one stable argsort of the
+    triangles groups the rows by node and keeps each node's rows in
+    triangle-major order. That is the order in which a COO->CSR conversion
+    of the entries in triangle-major order places them, so sum_duplicates
+    sorts and sums every node pair's contributions in the same order, and
+    the matrix has the same bits as that conversion's. Indices are int32.
     """
-    triangles = mesh.triangles.astype(np.int32)
-    rows = np.repeat(triangles, 3, axis=1).ravel()
-    cols = np.tile(triangles, (1, 3)).ravel()
-    n = mesh.n_nodes
-    data = element.transpose(2, 0, 1).ravel()
-    return scipy.sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
+    n, nodes = mesh.n_nodes, mesh.triangles.ravel()
+    order = np.argsort(nodes, kind="stable")
+    data = np.take(element.reshape(-1, 3), order, axis=0).ravel()
+    order //= 3
+    indices = np.take(mesh.triangles.astype(np.int32), order, axis=0).ravel()
+    del order
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(nodes, minlength=n) * 3, out=indptr[1:])
+    matrix = scipy.sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+    matrix.sum_duplicates()
+    return matrix
 
 
 def stiffness_and_mass(
@@ -190,17 +218,18 @@ def stiffness_and_mass(
     sigma defaults to the identity diffusivity; raises NonPositiveCoefficient
     like assemble.
     """
-    ke, me = _element_matrices(mesh, sigma)
-    return _global(mesh, ke), _global(mesh, me)
+    me = mesh.triangle_areas[:, None, None] * _MASS_REF
+    return _global(mesh, _element_matrices(mesh, sigma)), _global(mesh, me)
 
 
 def assemble(mesh: Mesh, epsilon: float, sigma: CoefficientField | None = None) -> FemSystem:
     """Assemble the state matrix.
 
-    Each triangle's epsilon-scaled mass is added in place into its
-    stiffness, and the mass array is dropped before S is built from the
-    sums by one sparse conversion. The sums and their triangle-major order
-    are those of ke + epsilon * me, so S has the same bits.
+    The element matrices of S = K_sigma + epsilon*M are formed entry by
+    entry, each triangle's epsilon-scaled mass added to its finished
+    stiffness, and summed into S by _global, with no COO round trip. The
+    sums and their order are those of the COO->CSR conversion of
+    ke + epsilon * me in triangle-major order, so S has the same bits.
 
     Parameters
     ----------
@@ -213,13 +242,9 @@ def assemble(mesh: Mesh, epsilon: float, sigma: CoefficientField | None = None) 
     Raises
     ------
     NonPositiveCoefficient
-        If any per-triangle kappa is not strictly positive.
+        If any per-triangle kappa is not a strictly positive finite number.
     """
-    ke, me = _element_matrices(mesh, sigma)
-    me *= epsilon
-    ke += me
-    del me
-    return FemSystem(mesh, _global(mesh, ke), epsilon)
+    return FemSystem(mesh, _global(mesh, _element_matrices(mesh, sigma, epsilon)), epsilon)
 
 
 class StateSolver:

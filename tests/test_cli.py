@@ -363,6 +363,7 @@ def test_bad_number_override_exits_2(tmp_path, capsys, override, message):
         ("ex1", "true_source", [{"cell": 34, "amplitdue": 2.0}], "'amplitdue'"),
         ("ex1", "name", None, "expected a string, got None"),
         ("ex1", "methods", ["ii", "method_ii"], "each method once, got ['method_ii', 'method_ii']"),
+        ("ex1", "sigma", {"kappa1": [1e308, 1e308, 0], "kappa2": [1, 0, 0]}, "positive and finite"),
     ],
     ids=[
         "kappa1-length-2",
@@ -389,6 +390,7 @@ def test_bad_number_override_exits_2(tmp_path, capsys, override, message):
         "unknown-true-source-key",
         "name-null",
         "method-twice",
+        "kappa1-overflows",
     ],
 )
 def test_bad_config_value_exits_2(tmp_path, capsys, preset, key, value, message):

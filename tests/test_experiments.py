@@ -1,5 +1,6 @@
 """Experiment pipeline tests: data generation, noise, presets, exports."""
 
+import hashlib
 import json
 import threading
 from dataclasses import fields, replace
@@ -10,7 +11,7 @@ import pytest
 import nullsrc.experiments
 import nullsrc.fem
 from nullsrc import ConfigError, DegenerateBasis, DomainSpec, Method, NullsrcError, Shape, SingularState
-from nullsrc.control_space import coefficients_to_cell_field
+from nullsrc.control_space import build_control_basis, coefficients_to_cell_field
 from nullsrc.experiments import (
     ExperimentConfig,
     ExperimentResult,
@@ -286,6 +287,63 @@ class TestRunExperiment:
         # nor does the fine mesh derive a boundary: only the inversion one is observed
         assert {"boundary_edges", "boundary_nodes"} <= vars(inversion.mesh).keys()
         assert not {"boundary_edges", "boundary_nodes"} & vars(fine.mesh).keys()
+
+
+def _forward_side(monkeypatch, cfg):
+    """Run _synthesize on cfg; return its setup, the forward basis and mesh the
+    true source was loaded on, and every build_control_basis call's
+    (n_nodes, mx, my)."""
+    loads, builds = [], []
+    load, build = nullsrc.experiments.source_load, nullsrc.experiments.build_control_basis
+
+    def recording_load(basis, mesh, coeffs):
+        loads.append((basis, mesh))
+        return load(basis, mesh, coeffs)
+
+    def recording_build(mesh, mx, my):
+        builds.append((mesh.n_nodes, mx, my))
+        return build(mesh, mx, my)
+
+    monkeypatch.setattr(nullsrc.experiments, "source_load", recording_load)
+    monkeypatch.setattr(nullsrc.experiments, "build_control_basis", recording_build)
+    setup = build_setup(cfg)
+    syn = _synthesize(cfg, setup)
+    ((basis, mesh),) = loads
+    return setup, basis, mesh, builds, syn
+
+
+class TestForwardBasis:
+    @pytest.mark.parametrize(
+        "preset", [name for name, cfg in builtin_presets().items() if not cfg.inverse_crime]
+    )
+    def test_nested_basis_is_the_inversion_basis_refined(self, monkeypatch, preset):
+        cfg = builtin_presets()[preset]
+        setup, basis, mesh, builds, _ = _forward_side(monkeypatch, cfg)
+        assert builds == [(setup.sys_inv.n_nodes, *cfg.control_dims_inverse)]  # the inversion basis only
+        built = build_control_basis(mesh, *cfg.control_dims_forward)
+        for field in fields(built):
+            derived, expected = getattr(basis, field.name), getattr(built, field.name)
+            if isinstance(expected, np.ndarray):
+                assert derived.dtype == expected.dtype and np.array_equal(derived, expected)
+            else:
+                assert type(derived) is type(expected) and derived == expected
+
+    def test_inverse_crime_reuses_the_inversion_basis(self, monkeypatch):
+        setup, basis, _, builds, _ = _forward_side(monkeypatch, builtin_presets()["ex1"])
+        assert basis is setup.basis_inv and len(builds) == 1
+
+    def test_unequal_dims_build_the_forward_basis(self, monkeypatch):
+        cfg = replace(builtin_presets()["ex5a"], control_dims_forward=(32, 32))
+        _, basis, _, builds, syn = _forward_side(monkeypatch, cfg)
+        assert builds == [(1089, 16, 16), (4225, 32, 32)] and basis.n == 1024
+        # the data and truth of the fine-mesh basis, as recorded before any
+        # forward basis was derived from the inversion one
+        digest = hashlib.sha256()
+        for values in (syn.d, syn.d_noisy, syn.truth_coeffs):
+            digest.update(values.tobytes())
+        assert digest.hexdigest() == (
+            "9fef25c97875a2a6717326855bcb93a3a2bdf33842a5b7bc28c4a672b132388a"
+        )
 
 
 class TestOverlap:

@@ -96,6 +96,23 @@ class TestAssemble:
         with pytest.raises(NonPositiveCoefficient):
             assemble(mesh, 1.0, bad)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_coefficient(self, bad):
+        # a kappa that overflowed used to pass the check and end as a singular factor
+        mesh = build_mesh(DomainSpec(Shape.UNIT_SQUARE, 2, 2))
+        kappa = np.ones(mesh.n_triangles)
+        kappa[3] = bad
+        with pytest.raises(NonPositiveCoefficient, match="finite"):
+            assemble(mesh, 1.0, CoefficientField(np.ones(mesh.n_triangles), kappa))
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_affine_kappa_is_rejected_without_warnings(self):
+        mesh = build_mesh(DomainSpec(Shape.UNIT_SQUARE, 4, 4))
+        sigma = SigmaSpec(kappa1=(1e308, 1e308, 0.0)).materialize(mesh)
+        assert np.isinf(sigma.kappa1).any()
+        with pytest.raises(NonPositiveCoefficient):
+            assemble(mesh, 1e-3, sigma)
+
     def test_epsilon_default_value_assembles(self):
         mesh = build_mesh(DomainSpec(Shape.UNIT_SQUARE, 2, 2))
         sys = assemble(mesh, 1e-3)
@@ -147,10 +164,17 @@ AFFINE = SigmaSpec(kappa1=(1.0, 0.5, 0.0), kappa2=(1.0, 0.0, 0.25))
 )
 class TestElementSums:
     @staticmethod
-    def problem(shape, n, affine):
+    def problem(shape, n, affine, refined=False):
         mesh = build_mesh(DomainSpec(shape, n, n))
+        if refined:
+            mesh = refine_uniform(mesh)
         sigma = AFFINE.materialize(mesh) if affine else None
         return mesh, sigma
+
+    @staticmethod
+    def assert_same_bits(new, old):
+        assert np.array_equal(new.indptr, old.indptr) and np.array_equal(new.indices, old.indices)
+        assert new.data.tobytes() == old.data.tobytes()
 
     def test_stiffness_and_mass_match_old_assembly(self, shape, n, epsilon, affine):
         mesh, sigma = self.problem(shape, n, affine)
@@ -172,26 +196,55 @@ class TestElementSums:
         assert np.abs(S_sorted.data - ref.data).max() <= 1e-14 * scale
 
     def test_state_matrix_keeps_the_bits_of_the_element_sums(self, shape, n, epsilon, affine):
-        # in-place sums and int32 indices: S equal, entry for entry, to the
-        # conversion of ke + epsilon * me with int64 indices
+        # rows grouped straight into CSR: S equal, entry for entry, to the
+        # COO->CSR conversion of ke + epsilon * me with int64 indices
         mesh, sigma = self.problem(shape, n, affine)
         S = assemble(mesh, epsilon, sigma).S
         ke, me, rows, cols = old_element_matrices(mesh, sigma or CoefficientField.identity(mesh))
         ref = scipy.sparse.csr_matrix(((ke + epsilon * me).ravel(), (rows, cols)), shape=S.shape)
-        assert np.array_equal(S.indptr, ref.indptr) and np.array_equal(S.indices, ref.indices)
-        assert S.data.tobytes() == ref.data.tobytes()
+        self.assert_same_bits(S, ref)
+
+    @pytest.mark.parametrize(
+        "refined, zero_epsilon",
+        [(True, False), (False, True), (True, True)],
+        ids=["refined", "epsilon-0", "refined-epsilon-0"],
+    )
+    def test_bits_hold_on_refined_meshes_and_at_zero_epsilon(
+        self, shape, n, epsilon, affine, refined, zero_epsilon
+    ):
+        # refine_uniform numbers nodes and triangles as every fine side does; at
+        # epsilon = 0 each stiffness entry still gets its +0.0 of mass
+        mesh, sigma = self.problem(shape, n, affine, refined)
+        epsilon = 0.0 if zero_epsilon else epsilon
+        S = assemble(mesh, epsilon, sigma).S
+        ke, me, rows, cols = old_element_matrices(mesh, sigma or CoefficientField.identity(mesh))
+        ref = scipy.sparse.csr_matrix(((ke + epsilon * me).ravel(), (rows, cols)), shape=S.shape)
+        self.assert_same_bits(S, ref)
+        K_old, M_old = old_stiffness_and_mass(mesh, sigma or CoefficientField.identity(mesh))
+        for new, old in zip(stiffness_and_mass(mesh, sigma), (K_old, M_old), strict=True):
+            self.assert_same_bits(new, old)
+
+
+def fine_assembly_transient(transient_mb, cells):
+    """tracemalloc peak of assemble on ex5a's setup with a cells x cells fine mesh."""
+    cfg = builtin_presets()["ex5a"]
+    mesh = refine_uniform(build_mesh(DomainSpec(Shape.UNIT_SQUARE, cells // 2, cells // 2)))
+    sigma = cfg.sigma.materialize(mesh)
+    sys, peak = transient_mb(lambda: assemble(mesh, cfg.epsilon, sigma))
+    assert sys.n_nodes == (cells + 1) ** 2
+    return peak
 
 
 def test_fine_assembly_transient_memory(transient_mb):
-    # ex5a's 64 x 64-cell fine mesh (4,225 nodes). Summed in place, with int32
-    # indices scipy keeps as they are, assemble peaks at about 3.1 MB; with a
-    # temporary per sum and int64 indices it took 5.4 MB.
-    cfg = builtin_presets()["ex5a"]
-    mesh = refine_uniform(build_setup(cfg).sys_inv.mesh)
-    sigma = cfg.sigma.materialize(mesh)
-    sys, peak = transient_mb(lambda: assemble(mesh, cfg.epsilon, sigma))
-    assert sys.n_nodes == 4225
-    assert peak <= 3.5
+    # ex5a's 64 x 64-cell fine mesh (4,225 nodes). Summed straight into grouped
+    # CSR rows, assemble peaks at about 1.9 MB; through a COO->CSR conversion
+    # of the element sums it took 3.1 MB, and 5.4 MB with a temporary per sum.
+    assert fine_assembly_transient(transient_mb, 64) <= 2.0
+
+
+def test_ladder_fine_assembly_transient_memory(transient_mb):
+    # the 256 x 256-cell rung: about 29.4 MB, against 47.5 MB through COO->CSR
+    assert fine_assembly_transient(transient_mb, 256) <= 32.0
 
 
 def loop_sigma(mesh, spec):
